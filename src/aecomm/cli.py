@@ -93,8 +93,16 @@ def _is_str(v):
     return isinstance(v, str) and bool(v)
 
 
+def _is_pow2(v):
+    return _is_pos_int(v) and v >= 2 and v & (v - 1) == 0
+
+
+def _is_pow2_list(v):
+    return isinstance(v, list) and len(v) > 0 and all(_is_pow2(x) for x in v)
+
+
 _TRAIN_KEYS = {
-    "M": (_is_pos_int, 128),
+    "M": (_is_pow2, 128),
     "batch_size": (_is_pos_int, 64),
     "snr_db": (_is_num, 45.0),
     "power": (_is_pos_num, 1.0),
@@ -124,7 +132,7 @@ COMPARE_SCHEMA = {
 del COMPARE_SCHEMA["batch_size"]
 
 NORM_ERROR_SCHEMA = {
-    "M_list": (_is_int_list, [4, 16, 64, 256]),
+    "M_list": (_is_pow2_list, [4, 16, 64, 256]),
     "batch_sizes": (_is_int_list, [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]),
     "n_inits": (_is_pos_int, 30),
     "n_batches": (_is_pos_int, 1000),
@@ -208,19 +216,50 @@ def cmd_norm_error(cfg: dict, out_dir: Path, workers: int) -> None:
     _write_meta(out_dir, "norm_error", cfg)
 
 
+def _resume(out_path: Path) -> set[tuple[int, int, int]]:
+    """(Bs, init_seed, data_seed) cells complete in accuracy.csv; cuts the file after the last.
+
+    Each cell appends its rows for both architectures at once, so only the
+    tail can hold a torn line or half a cell. Cutting that tail makes the
+    resumed file equal to an uninterrupted run's. Rows that do not parse
+    count as not done.
+    """
+    if not out_path.exists():
+        return set()
+    lines = out_path.read_bytes().splitlines(keepends=True)
+    seen, done = set(), set()
+    end = pos = 0
+    for i, line in enumerate(lines):
+        pos += len(line)
+        if not line.endswith(b"\n"):
+            break
+        if i == 0:  # the header
+            end = pos
+            continue
+        try:
+            arch, bs, init_seed, data_seed, accuracy = line.decode().rstrip("\r\n").split(",")
+            cell = (int(bs), int(init_seed), int(data_seed))
+            float(accuracy)
+        except ValueError:
+            continue
+        seen.add((arch, *cell))
+        if all((a, *cell) in seen for a in train.ARCHITECTURES):
+            done.add(cell)
+            end = pos
+    with open(out_path, "r+b") as fh:
+        fh.truncate(end)
+    return done
+
+
 def cmd_compare(cfg: dict, out_dir: Path, workers: int) -> None:
     out_path = out_dir / "accuracy.csv"
-    done: set[tuple[str, int, int, int]] = set()
-    if out_path.exists():
-        with open(out_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                done.add((row["arch"], int(row["Bs"]), int(row["init_seed"]), int(row["data_seed"])))
+    done = _resume(out_path)
     cells = [
         (cfg, bs, i, d)
         for bs in cfg["batch_sizes"]
         for i in cfg["init_seeds"]
         for d in cfg["data_seeds"]
-        if not all((a, bs, i, d) in done for a in train.ARCHITECTURES)
+        if (bs, i, d) not in done
     ]
     mode = "a" if done else "w"
     with open(out_path, mode, newline="") as fh:
@@ -262,6 +301,7 @@ def cmd_train(cfg: dict, out_dir: Path, workers: int) -> None:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
     comm.export_constellation_csv(result.constellation, out_dir / "constellation.csv")
+    _write_meta(out_dir, "train", cfg)
 
 
 def cmd_ser(cfg: dict, out_dir: Path, workers: int) -> None:

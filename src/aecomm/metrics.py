@@ -38,7 +38,7 @@ def normalization_error(
     """Mean distance between batch-scope and alphabet-scope normalized symbols."""
     M = tx.in_dim
     batch_indices = np.asarray(batch_indices)
-    raw, _ = nn.mlp_forward(np.eye(M), tx)
+    raw, _ = nn.mlp_forward(np.arange(M), tx)
     x_batch, _ = comm.normalize_average(comm.gather(raw, batch_indices), power)
     all_norm, _ = comm.normalize_average(raw, power)
     x_alpha = comm.gather(all_norm, batch_indices)
@@ -87,7 +87,7 @@ def norm_error_experiment(
         init_means = np.empty((n_inits, len(batch_sizes)))
         for i in range(n_inits):
             tx = nn.build_mlp([M, *tx_hidden, 2], rng)
-            raw, _ = nn.mlp_forward(np.eye(M), tx)
+            raw, _ = nn.mlp_forward(np.arange(M), tx)
             for j, bs in enumerate(batch_sizes):
                 idx = rng.integers(0, M, size=(n_batches, bs))
                 init_means[i, j] = _norm_errors_vectorized(raw, idx, power).mean()
@@ -111,7 +111,7 @@ def validation_accuracy(
 ) -> float:
     """Categorical accuracy on alphabet-normalized symbols (zero normalization error)."""
     M = tx.in_dim
-    raw, _ = nn.mlp_forward(np.eye(M), tx)
+    raw, _ = nn.mlp_forward(np.arange(M), tx)
     points, _ = comm.normalize_average(raw, power)
     correct = 0
     for _ in range(n_batches):

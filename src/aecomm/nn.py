@@ -3,7 +3,10 @@ finite-difference gradient checker.
 
 Everything operates on float64 numpy arrays. An MLP is a flat list of dense
 layers with per-layer activation tags ('relu' or 'linear'); the forward pass
-returns a cache consumed by the backward pass.
+returns a cache consumed by the backward pass, which writes the parameter
+gradients into the MLP's own gradient arrays. pack_params moves several MLPs'
+parameters and gradients into one contiguous vector each, which Adam updates
+in a fixed number of whole-vector operations.
 """
 
 from __future__ import annotations
@@ -18,11 +21,16 @@ ACTIVATIONS = ("relu", "linear")
 
 @dataclass
 class Mlp:
-    """Dense network parameters: weights[k] is (in_dim, out_dim), biases[k] is (out_dim,)."""
+    """Dense network parameters: weights[k] is (in_dim, out_dim), biases[k] is (out_dim,).
+
+    grads holds one gradient array per parameter, ordered like param_list();
+    mlp_backward overwrites it on every call.
+    """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     activations: list[str]
+    grads: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (len(self.weights) == len(self.biases) == len(self.activations)):
@@ -36,6 +44,8 @@ class Mlp:
         for W, b in zip(self.weights, self.biases):
             if W.shape[1] != b.shape[0]:
                 raise ValueError("bias shape inconsistent with weight matrix")
+        if self.grads is None:
+            self.grads = [np.zeros_like(p) for p in self.param_list()]
 
     @property
     def in_dim(self) -> int:
@@ -85,37 +95,68 @@ def build_mlp(layer_sizes: Sequence[int], rng: np.random.Generator) -> Mlp:
 
 
 def mlp_forward(X: np.ndarray, mlp: Mlp) -> tuple[np.ndarray, list]:
-    """Forward pass. Returns output and a cache of (layer input, pre-activation) pairs."""
-    if X.ndim != 2 or X.shape[1] != mlp.in_dim:
+    """Forward pass. Returns output and a cache of (layer input, pre-activation) pairs.
+
+    X is an (N, in_dim) float array, or a 1-D integer array of N message
+    indices standing for the one-hot rows of those indices. For an index
+    input the first layer is the row lookup W0[X] + b0, which equals the
+    one-hot matmul whenever W0 is finite.
+    """
+    if X.ndim == 1:
+        if X.dtype.kind not in "iu":
+            raise ValueError(f"index input has dtype {X.dtype}, expected integers")
+        if X.size and (X.min() < 0 or X.max() >= mlp.in_dim):
+            raise ValueError(f"index input out of range [0, {mlp.in_dim})")
+    elif X.ndim != 2 or X.shape[1] != mlp.in_dim:
         raise ValueError(f"input has shape {X.shape}, expected (*, {mlp.in_dim})")
     cache = []
     A = X
     for W, b, act in zip(mlp.weights, mlp.biases, mlp.activations):
-        Z = A @ W + b
+        Z = (W[A] if A.ndim == 1 else A @ W) + b
         cache.append((A, Z))
         A = np.maximum(Z, 0.0) if act == "relu" else Z
     return A, cache
 
 
-def mlp_backward(dY: np.ndarray, cache: list, mlp: Mlp) -> tuple[np.ndarray, list[np.ndarray]]:
+def mlp_backward(dY: np.ndarray, cache: list, mlp: Mlp) -> tuple[np.ndarray | None, list[np.ndarray]]:
     """Backward pass through the cached forward.
 
-    Returns (dX, grads) with grads ordered like Mlp.param_list().
+    Overwrites mlp.grads and returns (dX, mlp.grads). dX is None for an
+    index input, whose gradient nothing uses.
     """
     if len(cache) != len(mlp.weights):
         raise ValueError("cache does not match network depth")
     if dY.shape != (cache[-1][1].shape):
         raise ValueError("dY shape does not match forward output")
-    grads: list[np.ndarray] = [None] * (2 * len(mlp.weights))  # type: ignore[list-item]
+    grads = mlp.grads
     dA = dY
     for k in range(len(mlp.weights) - 1, -1, -1):
         A_in, Z = cache[k]
         # ReLU subgradient at 0 taken as 0
         dZ = dA * (Z > 0.0) if mlp.activations[k] == "relu" else dA
-        grads[2 * k] = A_in.T @ dZ
-        grads[2 * k + 1] = dZ.sum(axis=0)
-        dA = dZ @ mlp.weights[k].T
+        if A_in.ndim == 1:
+            _one_hot_grad(grads[2 * k], A_in, dZ)
+            dA = None
+        else:
+            np.matmul(A_in.T, dZ, out=grads[2 * k])
+            dA = dZ @ mlp.weights[k].T
+        dZ.sum(axis=0, out=grads[2 * k + 1])
     return dA, grads
+
+
+def _one_hot_grad(out: np.ndarray, idx: np.ndarray, dZ: np.ndarray) -> None:
+    """out = onehot(idx).T @ dZ: row idx[r] of out receives dZ[r].
+
+    Repeated indices are summed in row order. OpenBLAS accumulates the matmul
+    in the same order up to a few hundred rows (bit-equal at M=128 for 256
+    rows); past its blocking size the two can differ in the last bit.
+    """
+    if idx.size == out.shape[0] and np.all(idx[1:] > idx[:-1]):  # 0..M-1, the whole alphabet
+        out[...] = dZ
+    else:
+        out.fill(0.0)
+        n_cols = out.shape[1]
+        np.add.at(out.reshape(-1), (idx[:, None] * n_cols + np.arange(n_cols)).ravel(), dZ.ravel())
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -137,18 +178,27 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     if labels.min() < 0 or labels.max() >= m:
         raise ValueError("label out of range")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    log_probs = shifted[np.arange(n), labels] - log_z
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
+    rows = np.arange(n)
+    log_probs = shifted[rows, labels] - np.log(z[:, 0])
     loss = float(-log_probs.mean())
-    dlogits = softmax(logits)
-    dlogits[np.arange(n), labels] -= 1.0
+    dlogits = e / z  # softmax(logits)
+    dlogits[rows, labels] -= 1.0
     dlogits /= n
     return loss, dlogits
 
 
 @dataclass
 class Adam:
-    """Adam optimizer over a flat list of parameter arrays (updated in place)."""
+    """Adam over one flat parameter vector, updated in place.
+
+    params is a one-item list holding that vector (see pack_params); step
+    takes the matching one-item gradient list. Each step is a fixed sequence
+    of whole-vector ufuncs into preallocated scratch arrays, in the update
+    formula's own evaluation order, so every element rounds as it would in
+    the per-array expression.
+    """
 
     params: list[np.ndarray]
     lr: float = 0.001
@@ -156,29 +206,38 @@ class Adam:
     beta2: float = 0.999
     epsilon: float = 1e-8
     t: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.m:
-            self.m = [np.zeros_like(p) for p in self.params]
-        if not self.v:
-            self.v = [np.zeros_like(p) for p in self.params]
+        if len(self.params) != 1:
+            raise ValueError("Adam takes a one-item list holding the flat parameter vector")
+        p = self.params[0]
+        self.m, self.v = np.zeros_like(p), np.zeros_like(p)
+        self._update, self._denom = np.empty_like(p), np.empty_like(p)
 
     def step(self, grads: list[np.ndarray]) -> None:
-        if len(grads) != len(self.params):
-            raise ValueError("gradient list does not match parameter list")
+        if len(grads) != 1 or grads[0].shape != self.params[0].shape:
+            raise ValueError("gradient does not match the parameter vector")
+        (p,), (g,) = self.params, grads
+        m, v, u, d = self.m, self.v, self._update, self._denom
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            if g.shape != p.shape:
-                raise ValueError("gradient shape does not match parameter shape")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.epsilon)
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=u)
+        m += u
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=u)
+        u *= g
+        v += u
+        # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
+        np.divide(m, b1t, out=u)
+        u *= self.lr
+        np.divide(v, b2t, out=d)
+        np.sqrt(d, out=d)
+        d += self.epsilon
+        u /= d
+        p -= u
 
 
 def gradient_check(
@@ -212,15 +271,23 @@ def gradient_check(
     return worst
 
 
-def flatten_arrays(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
+def pack_params(*mlps: Mlp) -> tuple[np.ndarray, np.ndarray]:
+    """Move the parameters of `mlps` into one contiguous float64 vector.
 
-
-def unflatten_like(vec: np.ndarray, templates: Sequence[np.ndarray]) -> list[np.ndarray]:
-    out, pos = [], 0
-    for t in templates:
-        out.append(vec[pos : pos + t.size].reshape(t.shape))
-        pos += t.size
-    if pos != vec.size:
-        raise ValueError("vector length does not match template sizes")
-    return out
+    Returns (params, grads). Afterwards every weight, bias and gradient array
+    of each Mlp is a view into params or grads, laid out in param_list()
+    order, one Mlp after another.
+    """
+    arrays = [p for mlp in mlps for p in mlp.param_list()]
+    params = np.concatenate([p.ravel() for p in arrays])
+    grads = np.zeros_like(params)
+    bounds = np.cumsum([0] + [p.size for p in arrays])
+    p_views = [params[a:b].reshape(p.shape) for a, b, p in zip(bounds, bounds[1:], arrays)]
+    g_views = [grads[a:b].reshape(p.shape) for a, b, p in zip(bounds, bounds[1:], arrays)]
+    start = 0
+    for mlp in mlps:
+        stop = start + 2 * len(mlp.weights)
+        mlp.weights, mlp.biases = p_views[start:stop:2], p_views[start + 1 : stop : 2]
+        mlp.grads = g_views[start:stop]
+        start = stop
+    return params, grads

@@ -23,6 +23,8 @@ import numpy as np
 from . import comm, nn
 
 ARCHITECTURES = ("baseline", "proposed")
+# the normalization scope each architecture trains with (see loss_and_grads)
+SCOPES = {"baseline": "batch", "proposed": "alphabet"}
 
 
 @dataclass
@@ -90,77 +92,64 @@ def sample_batch(M: int, batch_size: int, rng: np.random.Generator) -> np.ndarra
     return rng.integers(0, M, size=batch_size)
 
 
-def loss_and_grads_baseline(
+def loss_and_grads(
     tx: nn.Mlp,
     rx: nn.Mlp,
     batch: np.ndarray,
     noise: np.ndarray,
     power: float,
-) -> tuple[float, list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Loss, tx grads, rx grads and transmitted symbols for one baseline batch."""
-    M = tx.in_dim
-    X = np.eye(M)[batch]
-    raw, tx_cache = nn.mlp_forward(X, tx)
-    sent, s = comm.normalize_average(raw, power)
-    y = sent + noise
-    logits, rx_cache = nn.mlp_forward(y, rx)
-    loss, dlogits = nn.softmax_cross_entropy(logits, batch)
+    scope: str,
+) -> tuple[float, np.ndarray]:
+    """Loss of one batch; the gradients land in tx.grads and rx.grads.
 
-    dy, rx_grads = nn.mlp_backward(dlogits, rx_cache, rx)
-    draw = comm.normalize_average_backward(dy, raw, s, power)
-    _, tx_grads = nn.mlp_backward(draw, tx_cache, tx)
-    return loss, tx_grads, rx_grads, sent
-
-
-def loss_and_grads_proposed(
-    tx: nn.Mlp,
-    rx: nn.Mlp,
-    batch: np.ndarray,
-    noise: np.ndarray,
-    power: float,
-) -> tuple[float, list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Loss and grads for one proposed-architecture batch.
-
-    Also returns the full alphabet-normalized constellation of this step.
+    scope "batch" (baseline) normalizes the batch's transmitter outputs and
+    returns those sent symbols. Scope "alphabet" (proposed) normalizes all M
+    outputs, gathers the batch rows, and returns the whole constellation.
     """
-    M = tx.in_dim
-    raw, tx_cache = nn.mlp_forward(np.eye(M), tx)
-    points, s = comm.normalize_average(raw, power)
-    sent = comm.gather(points, batch)
-    y = sent + noise
-    logits, rx_cache = nn.mlp_forward(y, rx)
+    if scope == "batch":
+        tx_in = batch
+    elif scope == "alphabet":
+        tx_in = np.arange(tx.in_dim)
+    else:
+        raise ValueError(f"scope must be one of {tuple(SCOPES.values())}")
+    raw, tx_cache = nn.mlp_forward(tx_in, tx)
+    symbols, s = comm.normalize_average(raw, power)
+    sent = symbols if scope == "batch" else comm.gather(symbols, batch)
+    logits, rx_cache = nn.mlp_forward(sent + noise, rx)
     loss, dlogits = nn.softmax_cross_entropy(logits, batch)
 
-    dy, rx_grads = nn.mlp_backward(dlogits, rx_cache, rx)
-    dpoints = comm.gather_backward(dy, batch, M)
-    draw = comm.normalize_average_backward(dpoints, raw, s, power)
-    _, tx_grads = nn.mlp_backward(draw, tx_cache, tx)
-    return loss, tx_grads, rx_grads, points
+    dsent, _ = nn.mlp_backward(dlogits, rx_cache, rx)
+    dsymbols = dsent if scope == "batch" else comm.gather_backward(dsent, batch, len(symbols))
+    draw = comm.normalize_average_backward(dsymbols, raw, s, power)
+    nn.mlp_backward(draw, tx_cache, tx)
+    return loss, symbols
 
 
 def train_step(
     tx: nn.Mlp,
     rx: nn.Mlp,
     optimizer: nn.Adam,
+    grads: np.ndarray,
     batch: np.ndarray,
     noise_rng: np.random.Generator,
     config: TrainConfig,
 ) -> float:
-    """One gradient step; draws one batch_size x 2 noise block from noise_rng."""
+    """One gradient step; draws one batch_size x 2 noise block from noise_rng.
+
+    grads is the flat gradient vector that tx and rx write into (nn.pack_params).
+    """
     noise = noise_rng.normal(0.0, np.sqrt(config.sigma2 / 2.0), size=(len(batch), 2))
-    if config.architecture == "baseline":
-        loss, tx_grads, rx_grads, _ = loss_and_grads_baseline(tx, rx, batch, noise, config.power)
-    else:
-        loss, tx_grads, rx_grads, _ = loss_and_grads_proposed(tx, rx, batch, noise, config.power)
-    optimizer.step(tx_grads + rx_grads)
+    loss, _ = loss_and_grads(tx, rx, batch, noise, config.power, SCOPES[config.architecture])
+    optimizer.step([grads])
     return loss
 
 
 def train_run(config: TrainConfig) -> RunResult:
     """Train for data_budget // batch_size steps; deterministic given the seeds."""
     tx, rx = init_model(config)
+    params, grads = nn.pack_params(tx, rx)
     optimizer = nn.Adam(
-        tx.param_list() + rx.param_list(),
+        [params],
         lr=config.lr,
         beta1=config.beta1,
         beta2=config.beta2,
@@ -174,14 +163,14 @@ def train_run(config: TrainConfig) -> RunResult:
     steps = 0
     for step in range(config.n_steps):
         batch = sample_batch(config.M, config.batch_size, data_rng)
-        loss = train_step(tx, rx, optimizer, batch, noise_rng, config)
+        loss = train_step(tx, rx, optimizer, grads, batch, noise_rng, config)
         loss_curve.append(loss)
         steps = step + 1
         if not np.isfinite(loss):
             diverged_at = step
             break
 
-    raw, _ = nn.mlp_forward(np.eye(config.M), tx)
+    raw, _ = nn.mlp_forward(np.arange(config.M), tx)
     constellation, _ = comm.normalize_average(raw, config.power)
     return RunResult(config, loss_curve, tx, rx, constellation, steps, diverged_at)
 

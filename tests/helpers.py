@@ -8,34 +8,19 @@ from aecomm import nn, train
 def e2e_loss_fn(architecture, tx, rx, batch, noise, power):
     """Wrap an end-to-end training loss as f(flat params) -> (loss, flat grad).
 
-    Noise is frozen, so the loss is a deterministic function of the parameters
-    and central differences are valid.
+    Packs tx and rx into one parameter vector, as training does. Noise is
+    frozen, so the loss is a deterministic function of the parameters and
+    central differences are valid.
     """
-    templates = tx.param_list() + rx.param_list()
-    n_tx = len(tx.param_list())
-    loss_fn = (
-        train.loss_and_grads_baseline
-        if architecture == "baseline"
-        else train.loss_and_grads_proposed
-    )
+    params, grads = nn.pack_params(tx, rx)
+    scope = train.SCOPES[architecture]
 
     def f(vec):
-        parts = nn.unflatten_like(vec, templates)
-        tx2 = nn.Mlp(
-            [p.copy() for p in parts[0:n_tx:2]],
-            [p.copy() for p in parts[1:n_tx:2]],
-            list(tx.activations),
-        )
-        rx2 = nn.Mlp(
-            [p.copy() for p in parts[n_tx::2]],
-            [p.copy() for p in parts[n_tx + 1 :: 2]],
-            list(rx.activations),
-        )
-        loss, tx_grads, rx_grads, _ = loss_fn(tx2, rx2, batch, noise, power)
-        return loss, nn.flatten_arrays(tx_grads + rx_grads)
+        params[:] = vec
+        loss, _ = train.loss_and_grads(tx, rx, batch, noise, power, scope)
+        return loss, grads.copy()
 
-    x0 = nn.flatten_arrays(templates)
-    return f, x0
+    return f, params.copy()
 
 
 def qpsk_points(power=1.0):

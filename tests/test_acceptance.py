@@ -75,21 +75,20 @@ def test_criterion_2_normalization_exactness():
             init_seed=5, data_seed=6,
         )
         tx, rx = train.init_model(cfg)
-        opt = nn.Adam(tx.param_list() + rx.param_list(), lr=cfg.lr)
+        params, grads = nn.pack_params(tx, rx)
+        opt = nn.Adam([params], lr=cfg.lr)
         data_rng = np.random.default_rng(cfg.data_seed)
         noise_rng = np.random.default_rng(cfg.noise_seed)
-        loss_fn = (
-            train.loss_and_grads_baseline if architecture == "baseline"
-            else train.loss_and_grads_proposed
-        )
         for _ in range(cfg.n_steps):
             batch = train.sample_batch(cfg.M, cfg.batch_size, data_rng)
             noise = noise_rng.normal(0, np.sqrt(cfg.sigma2 / 2), size=(cfg.batch_size, 2))
-            _, tx_g, rx_g, symbols = loss_fn(tx, rx, batch, noise, cfg.power)
+            _, symbols = train.loss_and_grads(
+                tx, rx, batch, noise, cfg.power, train.SCOPES[architecture]
+            )
             # proposed returns the alphabet constellation, baseline the batch symbols
             mean_power = float(np.mean(np.sum(symbols * symbols, axis=1)))
             assert abs(mean_power - cfg.power) <= 1e-9 * cfg.power
-            opt.step(tx_g + rx_g)
+            opt.step([grads])
     report(2)
 
 
@@ -209,8 +208,8 @@ def test_criterion_6_scope_equivalence():
         rx = nn.build_mlp([2, 25, M], rng)
         batch = np.arange(M)
         noise = np.random.default_rng(seed + 500).normal(scale=0.01, size=(M, 2))
-        loss_b, _, _, sent_b = train.loss_and_grads_baseline(tx, rx, batch, noise, 1.0)
-        loss_p, _, _, points_p = train.loss_and_grads_proposed(tx, rx, batch, noise, 1.0)
+        loss_b, sent_b = train.loss_and_grads(tx, rx, batch, noise, 1.0, "batch")
+        loss_p, points_p = train.loss_and_grads(tx, rx, batch, noise, 1.0, "alphabet")
         assert loss_b == loss_p
         assert np.array_equal(sent_b, points_p)
     report(6)
@@ -222,7 +221,8 @@ def test_criterion_7_qpsk_ser_sanity():
     snr_db_list = [4.0, 8.0, 12.0]
     rng = np.random.default_rng(0)
     rx = nn.build_mlp([2, 4], rng)  # softmax receiver; ML boundaries are linear
-    opt = nn.Adam(rx.param_list(), lr=0.02)
+    params, grads = nn.pack_params(rx)
+    opt = nn.Adam([params], lr=0.02)
     for step in range(6000):
         if step == 3000:
             opt.lr = 0.002
@@ -231,8 +231,8 @@ def test_criterion_7_qpsk_ser_sanity():
         y = comm.awgn(comm.gather(points, labels), sigma2, rng)
         logits, cache = nn.mlp_forward(y, rx)
         _, dlogits = nn.softmax_cross_entropy(logits, labels)
-        _, grads = nn.mlp_backward(dlogits, cache, rx)
-        opt.step(grads)
+        nn.mlp_backward(dlogits, cache, rx)
+        opt.step([grads])
 
     rows = metrics.ser_sweep(points, rx, snr_db_list, 30000, np.random.default_rng(78), power=1.0)
     for snr_db, ser, lo, hi in rows:

@@ -53,10 +53,25 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "c.json", {})
         assert cli.main(["ser", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
-    def test_runtime_failure_exits_1(self, tmp_path):
-        # non-power-of-2 M passes the schema but fails at run construction
-        cfg = write_config(tmp_path, "c.json", {"M": 6})
-        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    @pytest.mark.parametrize(
+        "command, payload",
+        [("train", {"M": 6}), ("train", {"M": 100}), ("train", {"M": 1}),
+         ("compare", {"M": 12}), ("norm-error", {"M_list": [4, 6]})],
+    )
+    def test_non_power_of_2_alphabet_exits_2(self, tmp_path, command, payload):
+        cfg = write_config(tmp_path, "c.json", payload)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_runtime_failure_exits_1(self, tmp_path, capsys):
+        # a well-formed config whose run file lacks the constellation fails while running
+        tcfg = write_config(tmp_path, "t.json", {**TRAIN_SMOKE, "data_budget": 640})
+        assert cli.main(["train", "--config", tcfg, "--out", str(tmp_path / "run")]) == 0
+        doc = json.loads((tmp_path / "run" / "run.json").read_text())
+        del doc["constellation"]
+        (tmp_path / "broken.json").write_text(json.dumps(doc))
+        scfg = write_config(tmp_path, "s.json", {"run_json": str(tmp_path / "broken.json")})
+        assert cli.main(["ser", "--config", scfg, "--out", str(tmp_path / "o")]) == 1
+        assert "failure" in capsys.readouterr().err
 
 
 class TestNormErrorCommand:
@@ -105,6 +120,17 @@ class TestTrainCommand:
         for name in ("run.json", "constellation.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_writes_meta(self, tmp_path):
+        cfg = write_config(tmp_path, "t.json", {**TRAIN_SMOKE, "data_budget": 640})
+        for out in ("a", "b"):
+            assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        meta = (tmp_path / "a" / "train_meta.json").read_bytes()
+        assert meta == (tmp_path / "b" / "train_meta.json").read_bytes()
+        doc = json.loads(meta)
+        assert doc["command"] == "train"
+        assert doc["config"]["data_budget"] == 640
+        assert doc["config"]["architecture"] == "proposed"  # defaults are echoed too
+
 
 class TestCompareCommand:
     def test_rows_and_byte_identical_rerun(self, tmp_path):
@@ -136,6 +162,22 @@ class TestCompareCommand:
         (partial_dir / "accuracy.csv").write_text("".join(full.splitlines(keepends=True)[:3]))
         cli.main(["compare", "--config", cfg, "--out", str(partial_dir), "--workers", "1"])
         assert (partial_dir / "accuracy.csv").read_text() == full
+
+    @pytest.mark.parametrize("keep_rows, torn_chars", [(2, 20), (3, 20), (2, 3), (0, 10)])
+    def test_resume_after_torn_last_line(self, tmp_path, keep_rows, torn_chars):
+        # a run cut off mid-write leaves a last line without its newline, maybe
+        # after the baseline row of an unfinished cell; resuming must still
+        # reproduce the uninterrupted file
+        cfg = write_config(tmp_path, "c.json", COMPARE_SMOKE)
+        cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "full"), "--workers", "1"])
+        full = (tmp_path / "full" / "accuracy.csv").read_bytes()
+        lines = full.splitlines(keepends=True)
+        partial_dir = tmp_path / "part"
+        partial_dir.mkdir()
+        torn = b"".join(lines[: 1 + keep_rows]) + lines[1 + keep_rows][:torn_chars]
+        (partial_dir / "accuracy.csv").write_bytes(torn)
+        assert cli.main(["compare", "--config", cfg, "--out", str(partial_dir), "--workers", "1"]) == 0
+        assert (partial_dir / "accuracy.csv").read_bytes() == full
 
     def test_completed_output_untouched(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", COMPARE_SMOKE)

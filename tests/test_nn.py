@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aecomm import nn
 
@@ -79,6 +81,61 @@ class TestMlpForward:
             assert np.allclose(row[0], full[i], rtol=1e-13, atol=1e-15)
 
 
+class TestIndexInput:
+    # Up to 48 rows the OpenBLAS matmul sums a column's repeated one-hot rows in
+    # row order, so the one-hot matmul is a bit-exact reference; past a few
+    # hundred rows it blocks the sum and the two may differ in the last bit.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        log2_M=st.integers(1, 8),
+        hidden=st.lists(st.integers(2, 40), min_size=1, max_size=2),
+        n_rows=st.integers(1, 48),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_hot_matmul_bit_for_bit(self, log2_M, hidden, n_rows, seed):
+        M = 2**log2_M
+        rng = np.random.default_rng(seed)
+        mlp = nn.build_mlp([M, *hidden, 2], rng)
+        for b in mlp.biases:
+            b[:] = rng.normal(scale=0.1, size=b.shape)
+        idx = rng.integers(0, M, size=n_rows)  # duplicates are likely for small M
+        dY = rng.normal(size=(n_rows, 2))
+
+        Y_eye, cache_eye = nn.mlp_forward(np.eye(M)[idx], mlp)
+        _, grads_eye = nn.mlp_backward(dY, cache_eye, mlp)
+        grads_eye = [g.copy() for g in grads_eye]
+        for g in mlp.grads:
+            g.fill(np.nan)  # the backward must overwrite every entry
+        Y_idx, cache_idx = nn.mlp_forward(idx, mlp)
+        dX, grads_idx = nn.mlp_backward(dY, cache_idx, mlp)
+
+        assert np.array_equal(Y_idx, Y_eye)
+        for (_, Z_idx), (_, Z_eye) in zip(cache_idx, cache_eye):
+            assert np.array_equal(Z_idx, Z_eye)
+        for g_idx, g_eye in zip(grads_idx, grads_eye):
+            assert np.array_equal(g_idx, g_eye)
+        assert dX is None
+
+    def test_whole_alphabet_equals_identity_input(self):
+        mlp = random_mlp([8, 6, 2], seed=30)
+        dY = np.random.default_rng(31).normal(size=(8, 2))
+        Y_eye, cache = nn.mlp_forward(np.eye(8), mlp)
+        _, grads_eye = nn.mlp_backward(dY, cache, mlp)
+        grads_eye = [g.copy() for g in grads_eye]
+        for g in mlp.grads:
+            g.fill(np.nan)
+        Y_idx, cache = nn.mlp_forward(np.arange(8), mlp)
+        _, grads_idx = nn.mlp_backward(dY, cache, mlp)
+        assert np.array_equal(Y_idx, Y_eye)
+        assert all(np.array_equal(a, b) for a, b in zip(grads_idx, grads_eye))
+
+    def test_invalid_index_input(self):
+        mlp = random_mlp([4, 3, 2], seed=32)
+        for bad in (np.array([0, 4]), np.array([-1, 0]), np.array([0.0, 1.0])):
+            with pytest.raises(ValueError):
+                nn.mlp_forward(bad, mlp)
+
+
 class TestMlpBackward:
     def test_zero_upstream(self):
         mlp = random_mlp([3, 4, 2], seed=1)
@@ -102,16 +159,15 @@ class TestMlpBackward:
         X = np.random.default_rng(9).normal(size=(5, 3))
         w = np.random.default_rng(10).normal(size=(5, 4))  # fixed projection
 
-        templates = mlp.param_list()
+        params, grads = nn.pack_params(mlp)
 
         def f(vec):
-            parts = nn.unflatten_like(vec, templates)
-            m = nn.Mlp(parts[0::2], parts[1::2], list(mlp.activations))
-            Y, cache = nn.mlp_forward(X, m)
-            _, grads = nn.mlp_backward(w, cache, m)
-            return float(np.sum(w * Y)), nn.flatten_arrays(grads)
+            params[:] = vec
+            Y, cache = nn.mlp_forward(X, mlp)
+            nn.mlp_backward(w, cache, mlp)
+            return float(np.sum(w * Y)), grads.copy()
 
-        assert nn.gradient_check(f, nn.flatten_arrays(templates)) < 1e-6
+        assert nn.gradient_check(f, params.copy()) < 1e-6
 
     def test_input_gradient_matches_finite_differences(self):
         mlp = random_mlp([3, 6, 2], seed=13)
@@ -170,6 +226,38 @@ class TestSoftmaxCrossEntropy:
             nn.softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
 
+def reference_adam(params, grad_steps, lr, beta1, beta2, epsilon):
+    """Adam over a list of arrays, one array at a time (the per-array formula)."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, start=1):
+        b1t = 1.0 - beta1**t
+        b2t = 1.0 - beta2**t
+        for p, g, mi, vi in zip(params, grads, m, v):
+            mi *= beta1
+            mi += (1.0 - beta1) * g
+            vi *= beta2
+            vi += (1.0 - beta2) * g * g
+            p -= lr * (mi / b1t) / (np.sqrt(vi / b2t) + epsilon)
+
+
+class TestPackParams:
+    def test_views_into_one_buffer(self):
+        rng = np.random.default_rng(40)
+        a = nn.build_mlp([5, 4, 2], rng)
+        b = nn.build_mlp([2, 3, 5], rng)
+        before = [p.copy() for p in a.param_list() + b.param_list()]
+        params, grads = nn.pack_params(a, b)
+        after = a.param_list() + b.param_list()
+        assert params.size == sum(p.size for p in before) == grads.size
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        assert all(np.shares_memory(p, params) for p in after)
+        assert all(np.shares_memory(g, grads) for g in a.grads + b.grads)
+        assert [g.shape for g in a.grads + b.grads] == [p.shape for p in after]
+        params[:] = 0.0
+        assert all(not p.any() for p in after)
+
+
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         p = np.array([1.0, -2.0])
@@ -199,6 +287,37 @@ class TestAdam:
         opt = nn.Adam([np.zeros(3)])
         with pytest.raises(ValueError):
             opt.step([np.zeros(4)])
+
+    def test_one_flat_vector_only(self):
+        with pytest.raises(ValueError):
+            nn.Adam([np.zeros(3), np.zeros(2)])
+        opt = nn.Adam([np.zeros(3)])
+        with pytest.raises(ValueError):
+            opt.step([np.zeros(3), np.zeros(3)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple), min_size=1, max_size=4
+        ),
+        n_steps=st.integers(1, 8),
+        lr=st.sampled_from([0.001, 0.008, 0.02, 0.3]),
+        betas=st.sampled_from([(0.9, 0.999), (0.5, 0.9), (0.0, 0.0)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flat_step_matches_per_array_formula(self, shapes, n_steps, lr, betas, seed):
+        rng = np.random.default_rng(seed)
+        ref = [rng.normal(size=s) for s in shapes]
+        flat = np.concatenate([p.ravel() for p in ref])
+        grad_steps = [
+            [rng.normal(size=s) * 10.0 ** rng.uniform(-6, 3) for s in shapes] for _ in range(n_steps)
+        ]
+        reference_adam(ref, grad_steps, lr, *betas, 1e-8)
+
+        opt = nn.Adam([flat], lr=lr, beta1=betas[0], beta2=betas[1], epsilon=1e-8)
+        for grads in grad_steps:
+            opt.step([np.concatenate([g.ravel() for g in grads])])
+        assert np.array_equal(flat, np.concatenate([p.ravel() for p in ref]))
 
 
 class TestGradientCheck:

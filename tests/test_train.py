@@ -82,8 +82,8 @@ class TestScopeEquivalence:
         rx = nn.build_mlp([2, 12, 8], rng)
         batch = np.arange(8)
         noise = np.random.default_rng(seed + 50).normal(scale=0.01, size=(8, 2))
-        loss_b, _, _, sent_b = train.loss_and_grads_baseline(tx, rx, batch, noise, 1.0)
-        loss_p, _, _, points_p = train.loss_and_grads_proposed(tx, rx, batch, noise, 1.0)
+        loss_b, sent_b = train.loss_and_grads(tx, rx, batch, noise, 1.0, "batch")
+        loss_p, points_p = train.loss_and_grads(tx, rx, batch, noise, 1.0, "alphabet")
         assert loss_b == loss_p
         assert np.array_equal(sent_b, comm.gather(points_p, batch))
 
@@ -114,19 +114,17 @@ class TestTrainingBehaviour:
         for arch in train.ARCHITECTURES:
             cfg = small_config(architecture=arch, data_budget=8 * 30)
             tx, rx = train.init_model(cfg)
-            opt = nn.Adam(tx.param_list() + rx.param_list(), lr=cfg.lr)
+            params, grads = nn.pack_params(tx, rx)
+            opt = nn.Adam([params], lr=cfg.lr)
             data_rng = np.random.default_rng(cfg.data_seed)
             noise_rng = np.random.default_rng(cfg.noise_seed)
-            loss_fn = (
-                train.loss_and_grads_baseline if arch == "baseline" else train.loss_and_grads_proposed
-            )
             for _ in range(cfg.n_steps):
                 batch = train.sample_batch(cfg.M, cfg.batch_size, data_rng)
                 noise = noise_rng.normal(0, np.sqrt(cfg.sigma2 / 2), size=(cfg.batch_size, 2))
-                _, tx_g, rx_g, symbols = loss_fn(tx, rx, batch, noise, cfg.power)
+                _, symbols = train.loss_and_grads(tx, rx, batch, noise, cfg.power, train.SCOPES[arch])
                 mean_power = np.mean(np.sum(symbols * symbols, axis=1))
                 assert mean_power == pytest.approx(cfg.power, rel=1e-9)
-                opt.step(tx_g + rx_g)
+                opt.step([grads])
 
     def test_cross_scope_constraint_generally_violated(self):
         # baseline's batch-normalized symbols do not satisfy the alphabet
@@ -138,7 +136,7 @@ class TestTrainingBehaviour:
         for _ in range(20):
             batch = train.sample_batch(cfg.M, cfg.batch_size, rng)
             noise = np.zeros((cfg.batch_size, 2))
-            _, _, _, sent = train.loss_and_grads_baseline(tx, rx, batch, noise, cfg.power)
+            _, sent = train.loss_and_grads(tx, rx, batch, noise, cfg.power, "batch")
             raw, _ = nn.mlp_forward(np.eye(cfg.M), tx)
             # alphabet power implied by the batch scale factor
             _, s = comm.normalize_average(comm.gather(raw, batch), cfg.power)
@@ -146,7 +144,7 @@ class TestTrainingBehaviour:
             if abs(alphabet_power - cfg.power) > 1e-6:
                 violated_alphabet += 1
 
-            _, _, _, points = train.loss_and_grads_proposed(tx, rx, batch, noise, cfg.power)
+            _, points = train.loss_and_grads(tx, rx, batch, noise, cfg.power, "alphabet")
             batch_power = np.mean(np.sum(comm.gather(points, batch) ** 2, axis=1))
             if abs(batch_power - cfg.power) > 1e-6:
                 violated_batch += 1
@@ -207,6 +205,36 @@ class TestTrainRun:
         logits_a, _ = nn.mlp_forward(result.constellation, result.rx)
         logits_b, _ = nn.mlp_forward(np.asarray(doc["constellation"]), rx)
         assert np.array_equal(logits_a, logits_b)
+
+    def test_parameters_share_one_buffer(self, monkeypatch):
+        # tx and rx train as views into the optimizer's single flat vector, so
+        # a whole-model update is one Adam step over sum(sizes) parameters
+        seen = []
+        real_step = train.train_step
+
+        def spy(tx, rx, optimizer, grads, *rest):
+            seen.append((tx, rx, optimizer, grads))
+            return real_step(tx, rx, optimizer, grads, *rest)
+
+        monkeypatch.setattr(train, "train_step", spy)
+        result = train.train_run(train.TrainConfig(batch_size=16, data_budget=16))
+        (tx, rx, opt, grads), = seen
+        assert len(opt.params) == 1
+        (params,) = opt.params
+        assert sum(p.size for p in opt.params) == 46530  # paper scale: M=128, [100, 100]
+        assert params.size == grads.size
+        for p in tx.param_list() + rx.param_list() + result.tx.param_list():
+            assert np.shares_memory(p, params)
+        for g in tx.grads + rx.grads:
+            assert np.shares_memory(g, grads)
+
+    @pytest.mark.parametrize("scope", ["bogus", "baseline"])
+    def test_unknown_scope_rejected(self, scope):
+        rng = np.random.default_rng(0)
+        tx = nn.build_mlp([4, 3, 2], rng)
+        rx = nn.build_mlp([2, 3, 4], rng)
+        with pytest.raises(ValueError):
+            train.loss_and_grads(tx, rx, np.array([0, 1]), np.zeros((2, 2)), 1.0, scope)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
