@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -61,12 +63,16 @@ def _load_config(path: str, schema: dict) -> dict:
 _REQUIRED = object()
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _is_pos_int(v):
-    return isinstance(v, int) and not isinstance(v, bool) and v > 0
+    return _is_int(v) and v > 0
 
 
 def _is_seed(v):
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+    return _is_int(v) and v >= 0
 
 
 def _is_num(v):
@@ -77,18 +83,6 @@ def _is_pos_num(v):
     return _is_num(v) and v > 0
 
 
-def _is_int_list(v):
-    return isinstance(v, list) and len(v) > 0 and all(_is_pos_int(x) for x in v)
-
-
-def _is_seed_list(v):
-    return isinstance(v, list) and len(v) > 0 and all(_is_seed(x) for x in v)
-
-
-def _is_num_list(v):
-    return isinstance(v, list) and len(v) > 0 and all(_is_num(x) for x in v)
-
-
 def _is_str(v):
     return isinstance(v, str) and bool(v)
 
@@ -97,101 +91,100 @@ def _is_pow2(v):
     return _is_pos_int(v) and v >= 2 and v & (v - 1) == 0
 
 
-def _is_pow2_list(v):
-    return isinstance(v, list) and len(v) > 0 and all(_is_pow2(x) for x in v)
+def _list_of(check):
+    """Checker for a non-empty JSON list whose items all pass `check`."""
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(check(x) for x in v)
 
 
-_TRAIN_KEYS = {
-    "M": (_is_pow2, 128),
-    "batch_size": (_is_pos_int, 64),
-    "snr_db": (_is_num, 45.0),
-    "power": (_is_pos_num, 1.0),
-    "tx_hidden": (_is_int_list, [100, 100]),
-    "rx_hidden": (_is_int_list, [100, 100]),
-    "lr": (_is_pos_num, 0.008),
-    "data_budget": (_is_pos_int, 76800),
+# One type checker per TrainConfig field that the train command exposes. The
+# defaults, and the checks on M, batch_size, architecture and data_budget, are
+# TrainConfig's own; _train_config turns its ValueError into a ConfigError.
+_TRAIN_CHECKS = {
+    "M": _is_int,
+    "batch_size": _is_int,
+    "snr_db": _is_num,
+    "power": _is_pos_num,
+    "architecture": _is_str,
+    "tx_hidden": _list_of(_is_pos_int),
+    "rx_hidden": _list_of(_is_pos_int),
+    "lr": _is_pos_num,
+    "data_budget": _is_int,
+    "init_seed": _is_seed,
+    "data_seed": _is_seed,
+    "noise_seed": lambda v: v is None or _is_seed(v),
+}
+_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(train.TrainConfig)}
+
+TRAIN_SCHEMA = {
+    **{key: (check, _TRAIN_DEFAULTS[key]) for key, check in _TRAIN_CHECKS.items()},
     "val_batches": (_is_pos_int, 30),
     "val_batch_size": (_is_pos_int, 1000),
     "val_seed": (_is_seed, 0),
 }
 
-TRAIN_SCHEMA = {
-    **_TRAIN_KEYS,
-    "architecture": (lambda v: v in train.ARCHITECTURES, "proposed"),
-    "init_seed": (_is_seed, 0),
-    "data_seed": (_is_seed, 0),
-    "noise_seed": (lambda v: v is None or _is_seed(v), None),
-}
-
+# compare sweeps the batch size and the seeds, and trains both architectures
 COMPARE_SCHEMA = {
-    **_TRAIN_KEYS,
-    "batch_sizes": (_is_int_list, [16, 32, 64, 128, 256, 512]),
-    "init_seeds": (_is_seed_list, list(range(10))),
-    "data_seeds": (_is_seed_list, list(range(100, 110))),
+    **{key: v for key, v in TRAIN_SCHEMA.items()
+       if key not in ("batch_size", "architecture", "init_seed", "data_seed", "noise_seed")},
+    "batch_sizes": (_list_of(_is_int), [16, 32, 64, 128, 256, 512]),
+    "init_seeds": (_list_of(_is_seed), list(range(10))),
+    "data_seeds": (_list_of(_is_seed), list(range(100, 110))),
 }
-del COMPARE_SCHEMA["batch_size"]
 
 NORM_ERROR_SCHEMA = {
-    "M_list": (_is_pow2_list, [4, 16, 64, 256]),
-    "batch_sizes": (_is_int_list, [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]),
+    "M_list": (_list_of(_is_pow2), [4, 16, 64, 256]),
+    "batch_sizes": (_list_of(_is_pos_int), [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]),
     "n_inits": (_is_pos_int, 30),
     "n_batches": (_is_pos_int, 1000),
     "eb": (_is_pos_num, 1.0),
-    "tx_hidden": (_is_int_list, [60, 60]),
+    "tx_hidden": (_list_of(_is_pos_int), [60, 60]),
     "seed": (_is_seed, 0),
 }
 
 SER_SCHEMA = {
     "run_json": (_is_str, _REQUIRED),
-    "snr_db_list": (_is_num_list, [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20]),
+    "snr_db_list": (_list_of(_is_num), [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20]),
     "n_symbols": (_is_pos_int, 100000),
     "seed": (_is_seed, 0),
 }
 
 
+def _meta_text(name: str, cfg: dict) -> str:
+    return json.dumps({"command": name, "config": cfg}, indent=2, sort_keys=True) + "\n"
+
+
 def _write_meta(out_dir: Path, name: str, cfg: dict) -> None:
-    with open(out_dir / f"{name}_meta.json", "w") as fh:
-        json.dump({"command": name, "config": cfg}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out_dir / f"{name}_meta.json").write_text(_meta_text(name, cfg))
 
 
-def _train_config(cfg: dict, architecture: str, batch_size: int, init_seed: int, data_seed: int):
-    return train.TrainConfig(
-        M=cfg["M"],
-        batch_size=batch_size,
-        snr_db=cfg["snr_db"],
-        power=cfg["power"],
-        architecture=architecture,
-        tx_hidden=tuple(cfg["tx_hidden"]),
-        rx_hidden=tuple(cfg["rx_hidden"]),
-        lr=cfg["lr"],
-        data_budget=cfg["data_budget"],
-        init_seed=init_seed,
-        data_seed=data_seed,
-        noise_seed=cfg.get("noise_seed"),
-    )
+def _train_config(cfg: dict, **overrides) -> train.TrainConfig:
+    """The TrainConfig of cfg's training keys plus `overrides`; a rejected one is a ConfigError."""
+    fields = {key: v for key, v in cfg.items() if key in _TRAIN_DEFAULTS}
+    try:
+        return train.TrainConfig(**{**fields, **overrides})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _run_and_score(cfg: dict, architecture: str, batch_size: int, init_seed: int, data_seed: int) -> float:
-    result = train.train_run(_train_config(cfg, architecture, batch_size, init_seed, data_seed))
+def _train_and_score(config: train.TrainConfig, cfg: dict) -> tuple[train.RunResult, float]:
+    """Train one run, then score it on the validation set that cfg's val_* keys define."""
+    result = train.train_run(config)
     rng = np.random.default_rng(cfg["val_seed"])
-    return metrics.validation_accuracy(
-        result.tx,
-        result.rx,
-        cfg["power"],
-        result.config.sigma2,
-        cfg["val_batches"],
-        cfg["val_batch_size"],
-        rng,
+    accuracy = metrics.validation_accuracy(
+        result.tx, result.rx, config.power, config.sigma2,
+        cfg["val_batches"], cfg["val_batch_size"], rng,
     )
+    return result, accuracy
 
 
 def _compare_cell(args) -> list[tuple[str, int, int, int, float]]:
     cfg, batch_size, init_seed, data_seed = args
     rows = []
     for arch in train.ARCHITECTURES:
-        acc = _run_and_score(cfg, arch, batch_size, init_seed, data_seed)
-        rows.append((arch, batch_size, init_seed, data_seed, acc))
+        config = _train_config(
+            cfg, architecture=arch, batch_size=batch_size, init_seed=init_seed, data_seed=data_seed
+        )
+        rows.append((arch, batch_size, init_seed, data_seed, _train_and_score(config, cfg)[1]))
     return rows
 
 
@@ -252,6 +245,13 @@ def _resume(out_path: Path) -> set[tuple[int, int, int]]:
 
 
 def cmd_compare(cfg: dict, out_dir: Path, workers: int) -> None:
+    for bs in cfg["batch_sizes"]:
+        _train_config(cfg, batch_size=bs)  # a rejected config fails before any output
+    # the meta goes first, so a resume can tell which config the rows were made with
+    meta_path, meta = out_dir / "compare_meta.json", _meta_text("compare", cfg)
+    if meta_path.exists() and meta_path.read_text() != meta:
+        raise ConfigError(f"{meta_path} records a different config; resume with that one or use a new --out")
+    meta_path.write_text(meta)
     out_path = out_dir / "accuracy.csv"
     done = _resume(out_path)
     cells = [
@@ -262,34 +262,23 @@ def cmd_compare(cfg: dict, out_dir: Path, workers: int) -> None:
         if (bs, i, d) not in done
     ]
     mode = "a" if done else "w"
-    with open(out_path, mode, newline="") as fh:
+    parallel = workers > 1 and bool(cells)
+    with open(out_path, mode, newline="") as fh, (
+        concurrent.futures.ProcessPoolExecutor(max_workers=workers) if parallel else contextlib.nullcontext()
+    ) as pool:
         writer = csv.writer(fh)
         if not done:
             writer.writerow(["arch", "Bs", "init_seed", "data_seed", "accuracy"])
-        if workers > 1 and cells:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_compare_cell, c) for c in cells]
-                # iterate in submission order so output order is deterministic
-                for fut in futures:
-                    for row in fut.result():
-                        writer.writerow([*row[:4], f"{row[4]:.17g}"])
-                    fh.flush()
-        else:
-            for cell in cells:
-                for row in _compare_cell(cell):
-                    writer.writerow([*row[:4], f"{row[4]:.17g}"])
-                fh.flush()
-    _write_meta(out_dir, "compare", cfg)
+        # both maps yield in cell order, so the output does not depend on workers
+        for rows in (pool.map if parallel else map)(_compare_cell, cells):
+            for row in rows:
+                writer.writerow([*row[:4], f"{row[4]:.17g}"])
+            fh.flush()
 
 
 def cmd_train(cfg: dict, out_dir: Path, workers: int) -> None:
-    config = _train_config(cfg, cfg["architecture"], cfg["batch_size"], cfg["init_seed"], cfg["data_seed"])
-    result = train.train_run(config)
-    rng = np.random.default_rng(cfg["val_seed"])
-    accuracy = metrics.validation_accuracy(
-        result.tx, result.rx, cfg["power"], config.sigma2,
-        cfg["val_batches"], cfg["val_batch_size"], rng,
-    )
+    config = _train_config(cfg)
+    result, accuracy = _train_and_score(config, cfg)
     doc = train.run_result_to_dict(result)
     doc["validation_accuracy"] = accuracy
     doc["validation"] = {

@@ -8,48 +8,11 @@ per real component), and SNR = P / sigma2.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
 import numpy as np
-
-
-class NormalizationMode(enum.Enum):
-    FIXED_POWER = "fixed"
-    AVERAGE_POWER_BATCH = "average-batch"
-    AVERAGE_POWER_ALPHABET = "average-alphabet"
 
 
 class DegenerateInputError(ValueError):
     """Raised when normalization is asked to rescale an (all-)zero signal."""
-
-
-@dataclass
-class Constellation:
-    """M complex symbols (as an M x 2 array) under a power constraint."""
-
-    points: np.ndarray
-    power: float
-    mode: NormalizationMode = NormalizationMode.AVERAGE_POWER_ALPHABET
-
-    def validate(self, rtol: float = 1e-9) -> None:
-        row_power = np.sum(self.points * self.points, axis=1)
-        if self.mode is NormalizationMode.FIXED_POWER:
-            ok = np.allclose(row_power, self.power, rtol=rtol, atol=0.0)
-        else:
-            ok = np.isclose(row_power.mean(), self.power, rtol=rtol, atol=0.0)
-        if not ok:
-            raise ValueError(f"constellation violates {self.mode.value} power constraint")
-
-
-@dataclass
-class ChannelParams:
-    snr_db: float
-    power: float
-
-    @property
-    def sigma2(self) -> float:
-        return sigma2_from_snr(self.power, self.snr_db)
 
 
 def sigma2_from_snr(power: float, snr_db: float) -> float:
@@ -66,14 +29,6 @@ def power_from_eb(M: int, eb: float) -> float:
     if eb <= 0:
         raise ValueError("energy per bit must be positive")
     return eb * np.log2(M)
-
-
-def normalize_fixed(X: np.ndarray, power: float) -> np.ndarray:
-    """Scale each row so that |x_i|^2 = power exactly."""
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise DegenerateInputError("zero-norm row cannot be normalized to fixed power")
-    return X * (np.sqrt(power) / norms)
 
 
 def normalize_average(X: np.ndarray, power: float) -> tuple[np.ndarray, float]:
@@ -120,11 +75,16 @@ def gather_backward(dX_batch: np.ndarray, indices: np.ndarray, n_rows: int) -> n
     return dX_all
 
 
-def awgn(X: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    """Add white Gaussian noise with variance sigma2/2 per real component."""
+def awgn_noise(shape: tuple[int, ...], sigma2: float, rng: np.random.Generator) -> np.ndarray:
+    """White Gaussian noise with variance sigma2/2 per real component."""
     if sigma2 <= 0:
         raise ValueError("noise variance must be positive")
-    return X + rng.normal(0.0, np.sqrt(sigma2 / 2.0), size=X.shape)
+    return rng.normal(0.0, np.sqrt(sigma2 / 2.0), size=shape)
+
+
+def awgn(X: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
+    """Add white Gaussian noise with variance sigma2/2 per real component."""
+    return X + awgn_noise(X.shape, sigma2, rng)
 
 
 def decode(logits: np.ndarray) -> np.ndarray:

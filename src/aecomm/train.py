@@ -52,6 +52,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}")
+        if self.data_budget < self.batch_size:
+            raise ValueError("data_budget must be >= batch_size (at least one step)")
         if self.noise_seed is None:
             self.noise_seed = self.data_seed
         self.tx_hidden = tuple(self.tx_hidden)
@@ -138,7 +140,7 @@ def train_step(
 
     grads is the flat gradient vector that tx and rx write into (nn.pack_params).
     """
-    noise = noise_rng.normal(0.0, np.sqrt(config.sigma2 / 2.0), size=(len(batch), 2))
+    noise = comm.awgn_noise((len(batch), 2), config.sigma2, noise_rng)
     loss, _ = loss_and_grads(tx, rx, batch, noise, config.power, SCOPES[config.architecture])
     optimizer.step([grads])
     return loss

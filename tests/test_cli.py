@@ -62,6 +62,18 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "c.json", payload)
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [("train", {"M": 4, "batch_size": 64, "data_budget": 32}),
+         ("compare", {**COMPARE_SMOKE, "batch_sizes": [8, 3200]})],
+    )
+    def test_zero_step_run_exits_2_before_output(self, tmp_path, command, payload):
+        # a batch larger than the data budget would train zero steps
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
+        assert not out.exists() or not any(out.iterdir())  # no run.json, accuracy.csv or meta
+
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         # a well-formed config whose run file lacks the constellation fails while running
         tcfg = write_config(tmp_path, "t.json", {**TRAIN_SMOKE, "data_budget": 640})
@@ -178,6 +190,16 @@ class TestCompareCommand:
         (partial_dir / "accuracy.csv").write_bytes(torn)
         assert cli.main(["compare", "--config", cfg, "--out", str(partial_dir), "--workers", "1"]) == 0
         assert (partial_dir / "accuracy.csv").read_bytes() == full
+
+    def test_resume_with_different_config_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "c.json", COMPARE_SMOKE)
+        assert cli.main(["compare", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
+        before = {name: (out / name).read_bytes() for name in ("accuracy.csv", "compare_meta.json")}
+        other = write_config(tmp_path, "m8.json", {**COMPARE_SMOKE, "M": 8})
+        assert cli.main(["compare", "--config", other, "--out", str(out), "--workers", "1"]) == 2
+        assert "different config" in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in before} == before
 
     def test_completed_output_untouched(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", COMPARE_SMOKE)

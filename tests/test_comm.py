@@ -25,26 +25,6 @@ class TestPowerFromEb:
             comm.power_from_eb(M, 1.0)
 
 
-class TestNormalizeFixed:
-    def test_three_four_five(self):
-        out = comm.normalize_fixed(np.array([[3.0, 4.0]]), 1.0)
-        assert np.allclose(out, [[0.6, 0.8]], atol=1e-15)
-
-    def test_idempotent_on_constraint_set(self):
-        X = np.array([[1.0, 0.0], [0.0, -1.0]])
-        out = comm.normalize_fixed(X, 1.0)
-        assert np.allclose(out, X, atol=1e-15)
-
-    def test_row_powers(self):
-        X = random_matrix(1, rows=20)
-        out = comm.normalize_fixed(X, 2.5)
-        assert np.allclose(np.sum(out * out, axis=1), 2.5, atol=1e-12)
-
-    def test_zero_row_rejected(self):
-        with pytest.raises(comm.DegenerateInputError):
-            comm.normalize_fixed(np.array([[0.0, 0.0], [1.0, 1.0]]), 1.0)
-
-
 class TestNormalizeAverage:
     def test_hand_case(self):
         X = np.array([[1.0, 0.0], [0.0, 3.0]])
@@ -177,7 +157,6 @@ class TestAwgn:
 
     def test_sigma2_from_snr(self):
         assert comm.sigma2_from_snr(1.0, 45.0) == pytest.approx(10 ** -4.5, rel=1e-12)
-        assert comm.ChannelParams(45.0, 1.0).sigma2 == pytest.approx(3.16228e-5, rel=1e-5)
 
     def test_invalid_sigma2(self):
         with pytest.raises(ValueError):
@@ -194,22 +173,6 @@ class TestDecode:
     def test_softmax_monotone(self):
         logits = np.random.default_rng(16).normal(size=(20, 7))
         assert np.array_equal(comm.decode(logits), comm.decode(nn.softmax(logits)))
-
-
-class TestConstellation:
-    def test_alphabet_mode_accepts_average_constraint(self):
-        X = random_matrix(20, rows=8)
-        points, _ = comm.normalize_average(X, 3.0)
-        comm.Constellation(points, 3.0).validate()
-
-    def test_fixed_mode_rejects_average_only(self):
-        X = random_matrix(21, rows=8)
-        points, _ = comm.normalize_average(X, 1.0)
-        with pytest.raises(ValueError):
-            comm.Constellation(points, 1.0, comm.NormalizationMode.FIXED_POWER).validate()
-        comm.Constellation(
-            comm.normalize_fixed(X, 1.0), 1.0, comm.NormalizationMode.FIXED_POWER
-        ).validate()
 
 
 class TestConstellationCsv:

@@ -241,3 +241,5 @@ class TestTrainRun:
             small_config(M=6)
         with pytest.raises(ValueError):
             small_config(architecture="other")
+        with pytest.raises(ValueError):
+            small_config(batch_size=8, data_budget=4)  # zero steps
