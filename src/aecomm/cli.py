@@ -18,6 +18,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -76,7 +77,14 @@ def _is_seed(v):
 
 
 def _is_num(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # json.load accepts NaN and Infinity tokens, and ints too large for a
+    # float; no config value may be either
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _is_pos_num(v):
@@ -287,7 +295,7 @@ def cmd_train(cfg: dict, out_dir: Path, workers: int) -> None:
         "seed": cfg["val_seed"],
     }
     with open(out_dir / "run.json", "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        json.dump(doc, fh, sort_keys=True, allow_nan=False)
         fh.write("\n")
     comm.export_constellation_csv(result.constellation, out_dir / "constellation.csv")
     _write_meta(out_dir, "train", cfg)
@@ -342,11 +350,16 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # innermost first
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         fn(cfg, out_dir, max(1, args.workers))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # a rejected config writes nothing, so remove the directories this call made
+        with contextlib.suppress(OSError):
+            for d in created:
+                d.rmdir()
         return 2
     except Exception as exc:  # noqa: BLE001 - contract maps failures to exit 1
         print(f"failure: {exc}", file=sys.stderr)

@@ -7,6 +7,13 @@ returns a cache consumed by the backward pass, which writes the parameter
 gradients into the MLP's own gradient arrays. pack_params moves several MLPs'
 parameters and gradients into one contiguous vector each, which Adam updates
 in a fixed number of whole-vector operations.
+
+mlp_forward, mlp_backward and softmax_cross_entropy write their per-call
+arrays into a workspace: a plain dict, passed as `ws`, that keeps one array
+per role and shape, so repeated calls on the same shapes allocate nothing.
+An array in a workspace is overwritten by the next call that uses the same
+role, so results taken from one are valid until then. Without a workspace a
+call fills a fresh one, and so returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -94,13 +101,24 @@ def build_mlp(layer_sizes: Sequence[int], rng: np.random.Generator) -> Mlp:
     return Mlp(weights, biases, acts)
 
 
-def mlp_forward(X: np.ndarray, mlp: Mlp) -> tuple[np.ndarray, list]:
+def _buffer(ws: dict, role: tuple, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """The array of workspace `ws` for (role, shape), allocated on first use."""
+    key = (role, shape)
+    buf = ws.get(key)
+    if buf is None:
+        buf = ws[key] = np.empty(shape, dtype)
+    return buf
+
+
+def mlp_forward(X: np.ndarray, mlp: Mlp, *, ws: dict | None = None) -> tuple[np.ndarray, list]:
     """Forward pass. Returns output and a cache of (layer input, pre-activation) pairs.
 
     X is an (N, in_dim) float array, or a 1-D integer array of N message
     indices standing for the one-hot rows of those indices. For an index
     input the first layer is the row lookup W0[X] + b0, which equals the
     one-hot matmul whenever W0 is finite.
+
+    The activations and the cache's arrays live in the workspace `ws`.
     """
     if X.ndim == 1:
         if X.dtype.kind not in "iu":
@@ -109,54 +127,74 @@ def mlp_forward(X: np.ndarray, mlp: Mlp) -> tuple[np.ndarray, list]:
             raise ValueError(f"index input out of range [0, {mlp.in_dim})")
     elif X.ndim != 2 or X.shape[1] != mlp.in_dim:
         raise ValueError(f"input has shape {X.shape}, expected (*, {mlp.in_dim})")
+    ws = {} if ws is None else ws
     cache = []
     A = X
-    for W, b, act in zip(mlp.weights, mlp.biases, mlp.activations):
-        Z = (W[A] if A.ndim == 1 else A @ W) + b
+    for k, (W, b, act) in enumerate(zip(mlp.weights, mlp.biases, mlp.activations)):
+        Z = _buffer(ws, ("Z", k), (len(A), W.shape[1]))
+        if A.ndim == 1:
+            np.take(W, A, axis=0, out=Z, mode="clip")  # in range: checked above
+        else:
+            np.matmul(A, W, out=Z)
+        Z += b
         cache.append((A, Z))
-        A = np.maximum(Z, 0.0) if act == "relu" else Z
+        A = np.maximum(Z, 0.0, out=_buffer(ws, ("A", k), Z.shape)) if act == "relu" else Z
     return A, cache
 
 
-def mlp_backward(dY: np.ndarray, cache: list, mlp: Mlp) -> tuple[np.ndarray | None, list[np.ndarray]]:
+def mlp_backward(
+    dY: np.ndarray, cache: list, mlp: Mlp, *, ws: dict | None = None
+) -> tuple[np.ndarray | None, list[np.ndarray]]:
     """Backward pass through the cached forward.
 
     Overwrites mlp.grads and returns (dX, mlp.grads). dX is None for an
-    index input, whose gradient nothing uses.
+    index input, whose gradient nothing uses. dX and the upstream gradients
+    live in the workspace `ws`.
     """
     if len(cache) != len(mlp.weights):
         raise ValueError("cache does not match network depth")
     if dY.shape != (cache[-1][1].shape):
         raise ValueError("dY shape does not match forward output")
+    ws = {} if ws is None else ws
     grads = mlp.grads
     dA = dY
     for k in range(len(mlp.weights) - 1, -1, -1):
         A_in, Z = cache[k]
-        # ReLU subgradient at 0 taken as 0
-        dZ = dA * (Z > 0.0) if mlp.activations[k] == "relu" else dA
+        if mlp.activations[k] == "relu":
+            # ReLU subgradient at 0 taken as 0
+            mask = np.greater(Z, 0.0, out=_buffer(ws, ("mask", k), Z.shape, bool))
+            dZ = np.multiply(dA, mask, out=_buffer(ws, ("dZ", k), Z.shape))
+        else:
+            dZ = dA
         if A_in.ndim == 1:
-            _one_hot_grad(grads[2 * k], A_in, dZ)
+            _one_hot_grad(grads[2 * k], A_in, dZ, ws)
             dA = None
         else:
             np.matmul(A_in.T, dZ, out=grads[2 * k])
-            dA = dZ @ mlp.weights[k].T
+            W = mlp.weights[k]
+            dA = np.matmul(dZ, W.T, out=_buffer(ws, ("dA", k), (len(dZ), W.shape[0])))
         dZ.sum(axis=0, out=grads[2 * k + 1])
     return dA, grads
 
 
-def _one_hot_grad(out: np.ndarray, idx: np.ndarray, dZ: np.ndarray) -> None:
+def _one_hot_grad(out: np.ndarray, idx: np.ndarray, dZ: np.ndarray, ws: dict) -> None:
     """out = onehot(idx).T @ dZ: row idx[r] of out receives dZ[r].
 
     Repeated indices are summed in row order. OpenBLAS accumulates the matmul
     in the same order up to a few hundred rows (bit-equal at M=128 for 256
-    rows); past its blocking size the two can differ in the last bit.
+    rows); past its blocking size the two can differ in the last bit. The
+    flat scatter index lives in the workspace `ws`.
     """
     if idx.size == out.shape[0] and np.all(idx[1:] > idx[:-1]):  # 0..M-1, the whole alphabet
         out[...] = dZ
     else:
         out.fill(0.0)
         n_cols = out.shape[1]
-        np.add.at(out.reshape(-1), (idx[:, None] * n_cols + np.arange(n_cols)).ravel(), dZ.ravel())
+        flat = _buffer(ws, ("scatter",), dZ.shape, np.intp)
+        np.copyto(flat, idx[:, None])  # in intp, so a narrow index dtype cannot wrap
+        flat *= n_cols
+        flat += np.arange(n_cols)
+        np.add.at(out.reshape(-1), flat.reshape(-1), dZ.reshape(-1))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -166,10 +204,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+def softmax_cross_entropy(
+    logits: np.ndarray, labels: np.ndarray, *, ws: dict | None = None
+) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of row-wise softmax against integer labels.
 
-    Returns (loss, dloss/dlogits); the gradient already carries the 1/rows factor.
+    Returns (loss, dloss/dlogits); the gradient already carries the 1/rows
+    factor and lives in the workspace `ws`.
     """
     labels = np.asarray(labels)
     n, m = logits.shape
@@ -177,16 +218,19 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
         raise ValueError("labels length must equal number of logit rows")
     if labels.min() < 0 or labels.max() >= m:
         raise ValueError("label out of range")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    z = e.sum(axis=1, keepdims=True)
+    ws = {} if ws is None else ws
+    # one buffer holds the shifted logits, then their exponentials, then the gradient
+    e = np.subtract(logits, logits.max(axis=1, keepdims=True), out=_buffer(ws, ("softmax",), (n, m)))
     rows = np.arange(n)
-    log_probs = shifted[rows, labels] - np.log(z[:, 0])
+    picked = e[rows, labels]
+    np.exp(e, out=e)
+    z = e.sum(axis=1, keepdims=True)
+    log_probs = picked - np.log(z[:, 0])
     loss = float(-log_probs.mean())
-    dlogits = e / z  # softmax(logits)
-    dlogits[rows, labels] -= 1.0
-    dlogits /= n
-    return loss, dlogits
+    e /= z  # softmax(logits)
+    e[rows, labels] -= 1.0
+    e /= n
+    return loss, e
 
 
 @dataclass

@@ -101,12 +101,16 @@ def loss_and_grads(
     noise: np.ndarray,
     power: float,
     scope: str,
+    *,
+    ws: dict | None = None,
 ) -> tuple[float, np.ndarray]:
     """Loss of one batch; the gradients land in tx.grads and rx.grads.
 
     scope "batch" (baseline) normalizes the batch's transmitter outputs and
     returns those sent symbols. Scope "alphabet" (proposed) normalizes all M
     outputs, gathers the batch rows, and returns the whole constellation.
+    The activations and upstream gradients live in the workspace `ws` (see
+    nn), one sub-workspace per network.
     """
     if scope == "batch":
         tx_in = batch
@@ -114,16 +118,18 @@ def loss_and_grads(
         tx_in = np.arange(tx.in_dim)
     else:
         raise ValueError(f"scope must be one of {tuple(SCOPES.values())}")
-    raw, tx_cache = nn.mlp_forward(tx_in, tx)
+    ws = {} if ws is None else ws
+    tx_ws, rx_ws = ws.setdefault("tx", {}), ws.setdefault("rx", {})
+    raw, tx_cache = nn.mlp_forward(tx_in, tx, ws=tx_ws)
     symbols, s = comm.normalize_average(raw, power)
     sent = symbols if scope == "batch" else comm.gather(symbols, batch)
-    logits, rx_cache = nn.mlp_forward(sent + noise, rx)
-    loss, dlogits = nn.softmax_cross_entropy(logits, batch)
+    logits, rx_cache = nn.mlp_forward(sent + noise, rx, ws=rx_ws)
+    loss, dlogits = nn.softmax_cross_entropy(logits, batch, ws=ws)
 
-    dsent, _ = nn.mlp_backward(dlogits, rx_cache, rx)
+    dsent, _ = nn.mlp_backward(dlogits, rx_cache, rx, ws=rx_ws)
     dsymbols = dsent if scope == "batch" else comm.gather_backward(dsent, batch, len(symbols))
     draw = comm.normalize_average_backward(dsymbols, raw, s, power)
-    nn.mlp_backward(draw, tx_cache, tx)
+    nn.mlp_backward(draw, tx_cache, tx, ws=tx_ws)
     return loss, symbols
 
 
@@ -135,19 +141,26 @@ def train_step(
     batch: np.ndarray,
     noise_rng: np.random.Generator,
     config: TrainConfig,
+    *,
+    ws: dict | None = None,
 ) -> float:
     """One gradient step; draws one batch_size x 2 noise block from noise_rng.
 
     grads is the flat gradient vector that tx and rx write into (nn.pack_params).
+    ws is the workspace that loss_and_grads writes its per-step arrays into.
     """
     noise = comm.awgn_noise((len(batch), 2), config.sigma2, noise_rng)
-    loss, _ = loss_and_grads(tx, rx, batch, noise, config.power, SCOPES[config.architecture])
+    loss, _ = loss_and_grads(tx, rx, batch, noise, config.power, SCOPES[config.architecture], ws=ws)
     optimizer.step([grads])
     return loss
 
 
 def train_run(config: TrainConfig) -> RunResult:
-    """Train for data_budget // batch_size steps; deterministic given the seeds."""
+    """Train for data_budget // batch_size steps; deterministic given the seeds.
+
+    Every step writes its activations and gradients into one workspace that
+    lives as long as this call, so steps after the first allocate no large arrays.
+    """
     tx, rx = init_model(config)
     params, grads = nn.pack_params(tx, rx)
     optimizer = nn.Adam(
@@ -159,13 +172,14 @@ def train_run(config: TrainConfig) -> RunResult:
     )
     data_rng = np.random.default_rng(config.data_seed)
     noise_rng = np.random.default_rng(config.noise_seed)
+    ws: dict = {}
 
     loss_curve: list[float] = []
     diverged_at = None
     steps = 0
     for step in range(config.n_steps):
         batch = sample_batch(config.M, config.batch_size, data_rng)
-        loss = train_step(tx, rx, optimizer, grads, batch, noise_rng, config)
+        loss = train_step(tx, rx, optimizer, grads, batch, noise_rng, config, ws=ws)
         loss_curve.append(loss)
         steps = step + 1
         if not np.isfinite(loss):
@@ -177,24 +191,34 @@ def train_run(config: TrainConfig) -> RunResult:
     return RunResult(config, loss_curve, tx, rx, constellation, steps, diverged_at)
 
 
+def _json_list(values) -> list:
+    """values as nested lists of floats, with None (JSON null) for each non-finite entry."""
+    a = np.asarray(values, dtype=float)
+    return np.where(np.isfinite(a), a, None).tolist()
+
+
+def _mlp_to_dict(mlp: nn.Mlp) -> dict:
+    return {
+        "weights": [_json_list(W) for W in mlp.weights],
+        "biases": [_json_list(b) for b in mlp.biases],
+        "activations": mlp.activations,
+    }
+
+
 def run_result_to_dict(result: RunResult) -> dict:
-    """JSON-serializable view of a run (schema documented in the README)."""
+    """Strict-JSON view of a run (schema documented in the README).
+
+    A diverged run can hold NaN or infinite values, which strict JSON cannot
+    express; they become null, and diverged_at marks the run.
+    """
     return {
         "config": asdict(result.config),
         "steps_taken": result.steps_taken,
         "diverged_at": result.diverged_at,
-        "loss_curve": result.loss_curve,
-        "constellation": result.constellation.tolist(),
-        "rx": {
-            "weights": [W.tolist() for W in result.rx.weights],
-            "biases": [b.tolist() for b in result.rx.biases],
-            "activations": result.rx.activations,
-        },
-        "tx": {
-            "weights": [W.tolist() for W in result.tx.weights],
-            "biases": [b.tolist() for b in result.tx.biases],
-            "activations": result.tx.activations,
-        },
+        "loss_curve": _json_list(result.loss_curve),
+        "constellation": _json_list(result.constellation),
+        "rx": _mlp_to_dict(result.rx),
+        "tx": _mlp_to_dict(result.tx),
     }
 
 

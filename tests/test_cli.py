@@ -64,6 +64,20 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "command, payload",
+        [("train", {"snr_db": float("nan")}), ("train", {"lr": float("inf")}),
+         ("compare", {"snr_db": float("-inf")}), ("norm-error", {"eb": float("nan")}),
+         ("train", {"snr_db": 10**400}), ("norm-error", {"eb": 10**400})],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, command, payload):
+        # json.load reads the NaN/Infinity tokens that json.dumps writes here,
+        # and a 401-digit int that no float can hold
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, payload",
         [("train", {"M": 4, "batch_size": 64, "data_budget": 32}),
          ("compare", {**COMPARE_SMOKE, "batch_sizes": [8, 3200]})],
     )
@@ -72,7 +86,17 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "c.json", payload)
         out = tmp_path / "o"
         assert cli.main([command, "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
-        assert not out.exists() or not any(out.iterdir())  # no run.json, accuracy.csv or meta
+        assert not out.exists()  # no run.json, accuracy.csv or meta, and no empty directory
+
+    def test_rejected_config_removes_only_the_directories_it_made(self, tmp_path):
+        cfg = write_config(tmp_path, "c.json", {"architecture": "magic"})
+        out = tmp_path / "new" / "deeper" / "o"
+        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert not (tmp_path / "new").exists()
+        existing = tmp_path / "kept"
+        existing.mkdir()
+        assert cli.main(["train", "--config", cfg, "--out", str(existing)]) == 2
+        assert existing.is_dir()
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         # a well-formed config whose run file lacks the constellation fails while running
@@ -131,6 +155,23 @@ class TestTrainCommand:
         cli.main(["train", "--config", cfg, "--out", str(tmp_path / "b")])
         for name in ("run.json", "constellation.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_diverged_run_writes_strict_json(self, tmp_path):
+        # a huge learning rate overflows the weights within a few steps; the
+        # non-finite loss, constellation and weights become null
+        cfg = write_config(tmp_path, "t.json", {**TRAIN_SMOKE, "batch_size": 8, "data_budget": 80,
+                                                "lr": 1e100, "val_batches": 1, "val_batch_size": 10})
+        with np.errstate(all="ignore"):
+            assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads((tmp_path / "o" / "run.json").read_text(), parse_constant=reject)
+        assert doc["diverged_at"] is not None
+        assert doc["steps_taken"] == doc["diverged_at"] + 1 == len(doc["loss_curve"])
+        assert doc["loss_curve"][-1] is None
+        assert None in doc["constellation"][0]
 
     def test_writes_meta(self, tmp_path):
         cfg = write_config(tmp_path, "t.json", {**TRAIN_SMOKE, "data_budget": 640})

@@ -129,6 +129,17 @@ class TestIndexInput:
         assert np.array_equal(Y_idx, Y_eye)
         assert all(np.array_equal(a, b) for a, b in zip(grads_idx, grads_eye))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
+    def test_narrow_index_dtype_scatters_like_int64(self, dtype):
+        # the scatter's flat index is idx * n_cols + col, which wraps in uint8
+        mlp = random_mlp([128, 100, 2], seed=34)
+        idx = np.random.default_rng(35).integers(0, 128, size=20)
+        dY = np.random.default_rng(36).normal(size=(20, 2))
+        _, grads = nn.mlp_backward(dY, nn.mlp_forward(idx, mlp)[1], mlp)
+        expected = [g.copy() for g in grads]
+        _, grads = nn.mlp_backward(dY, nn.mlp_forward(idx.astype(dtype), mlp)[1], mlp)
+        assert all(np.array_equal(g, e) for g, e in zip(grads, expected))
+
     def test_invalid_index_input(self):
         mlp = random_mlp([4, 3, 2], seed=32)
         for bad in (np.array([0, 4]), np.array([-1, 0]), np.array([0.0, 1.0])):

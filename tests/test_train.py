@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from aecomm import comm, nn, train
@@ -212,9 +216,9 @@ class TestTrainRun:
         seen = []
         real_step = train.train_step
 
-        def spy(tx, rx, optimizer, grads, *rest):
+        def spy(tx, rx, optimizer, grads, *rest, **kwargs):
             seen.append((tx, rx, optimizer, grads))
-            return real_step(tx, rx, optimizer, grads, *rest)
+            return real_step(tx, rx, optimizer, grads, *rest, **kwargs)
 
         monkeypatch.setattr(train, "train_step", spy)
         result = train.train_run(train.TrainConfig(batch_size=16, data_budget=16))
@@ -243,3 +247,93 @@ class TestTrainRun:
             small_config(architecture="other")
         with pytest.raises(ValueError):
             small_config(batch_size=8, data_budget=4)  # zero steps
+
+
+def run_steps(config, n_steps, ws):
+    """n_steps train_step calls from config's seeds; returns (losses, params, optimizer).
+
+    ws is one workspace shared by every step, or None for a fresh one per call.
+    """
+    tx, rx = train.init_model(config)
+    params, grads = nn.pack_params(tx, rx)
+    opt = nn.Adam([params], lr=config.lr)
+    data_rng = np.random.default_rng(config.data_seed)
+    noise_rng = np.random.default_rng(config.noise_seed)
+    losses = [
+        train.train_step(tx, rx, opt, grads, train.sample_batch(config.M, config.batch_size, data_rng),
+                         noise_rng, config, ws=ws)
+        for _ in range(n_steps)
+    ]
+    return losses, params, opt
+
+
+class TestWorkspace:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log2_M=st.integers(1, 6),
+        batch_size=st.integers(1, 80),  # past M, duplicate indices are certain
+        tx_hidden=st.lists(st.integers(1, 24), min_size=1, max_size=2),
+        rx_hidden=st.lists(st.integers(1, 24), min_size=1, max_size=2),
+        architecture=st.sampled_from(train.ARCHITECTURES),
+        n_steps=st.integers(2, 5),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_shared_workspace_bit_identical(self, log2_M, batch_size, tx_hidden, rx_hidden,
+                                            architecture, n_steps, seed):
+        config = small_config(M=2**log2_M, batch_size=batch_size, data_budget=batch_size * n_steps,
+                              tx_hidden=tx_hidden, rx_hidden=rx_hidden, architecture=architecture,
+                              init_seed=seed, data_seed=seed + 1, noise_seed=seed + 2)
+        try:
+            ref_losses, ref_params, ref_opt = run_steps(config, n_steps, ws=None)
+        except comm.DegenerateInputError:  # a dead-ReLU transmitter fails the same way with one
+            with pytest.raises(comm.DegenerateInputError):
+                run_steps(config, n_steps, ws={})
+            return
+        losses, params, opt = run_steps(config, n_steps, ws={})
+        assert losses == ref_losses
+        assert np.array_equal(params, ref_params)
+        assert np.array_equal(opt.m, ref_opt.m) and np.array_equal(opt.v, ref_opt.v)
+        assert opt.t == ref_opt.t == n_steps
+
+    def test_row_count_change_between_calls(self):
+        # one workspace serves batches of changing size without handing back
+        # an array of a stale shape or stale contents
+        rng = np.random.default_rng(40)
+        tx = nn.build_mlp([8, 6, 5, 2], rng)
+        rx = nn.build_mlp([2, 7, 8], rng)
+        params, grads = nn.pack_params(tx, rx)
+        ws = {}
+        for n in (8, 3, 8, 12, 3, 1):
+            for scope in train.SCOPES.values():
+                batch = rng.integers(0, 8, size=n)
+                noise = rng.normal(scale=0.1, size=(n, 2))
+                loss, symbols = train.loss_and_grads(tx, rx, batch, noise, 1.0, scope, ws=ws)
+                got = grads.copy()
+                ref_loss, ref_symbols = train.loss_and_grads(tx, rx, batch, noise, 1.0, scope)
+                assert loss == ref_loss
+                assert np.array_equal(symbols, ref_symbols)
+                assert np.array_equal(got, grads)
+
+    @pytest.mark.parametrize("architecture", train.ARCHITECTURES)
+    def test_steady_state_step_allocates_no_large_arrays(self, architecture):
+        # numpy reports its array data to tracemalloc; paper scale, Bs=256
+        config = train.TrainConfig(batch_size=256, architecture=architecture)
+        tx, rx = train.init_model(config)
+        params, grads = nn.pack_params(tx, rx)
+        opt = nn.Adam([params], lr=config.lr)
+        data_rng, noise_rng = np.random.default_rng(1), np.random.default_rng(2)
+        ws = {}
+
+        def step():
+            batch = train.sample_batch(config.M, config.batch_size, data_rng)
+            train.train_step(tx, rx, opt, grads, batch, noise_rng, config, ws=ws)
+
+        step()  # fills the workspace
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 256 * 1024
