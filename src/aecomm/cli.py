@@ -206,13 +206,20 @@ def cmd_norm_error(cfg: dict, out_dir: Path, workers: int) -> None:
         tuple(cfg["tx_hidden"]),
         cfg["seed"],
     )
+    for st in stats:
+        if st.dead_inits or st.zero_batches:
+            print(f"norm-error: M={st.M} Bs={st.batch_size}: excluded {st.dead_inits} of"
+                  f" {cfg['n_inits']} transmitters (all-zero output) and {st.zero_batches}"
+                  f" all-zero batches; averaged {st.n} batches", file=sys.stderr)
+    empty = [(st.M, st.batch_size) for st in stats if st.n == 0]
+    if empty:
+        raise RuntimeError(f"no batch left to average in (M, Bs) cells {empty}")
     with open(out_dir / "norm_error.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["M", "Bs", "mean_error", "std_error", "n"])
         for st in stats:
             writer.writerow(
-                [st.M, st.batch_size, f"{st.mean_error:.17g}", f"{st.std_error:.17g}",
-                 st.n_inits * st.n_batches]
+                [st.M, st.batch_size, f"{st.mean_error:.17g}", f"{st.std_error:.17g}", st.n]
             )
     _write_meta(out_dir, "norm_error", cfg)
 

@@ -19,15 +19,24 @@ from . import comm, nn
 _Z95 = 1.959963984540054
 
 
+# Elements in the widest array of one block of a sweep: norm-error draws this
+# many batch indices at a time, ser decodes as many rows as keep the widest
+# per-row activation within it. Bounded blocks stay in cache, so the sweeps'
+# memory does not grow with n_batches * Bs or n_symbols.
+_BLOCK = 1 << 16
+
+
 @dataclass
 class NormErrorStats:
     M: int
     batch_size: int
     eb: float
-    mean_error: float
+    mean_error: float  # nan when nothing was left to average
     std_error: float  # standard error of the mean over initializations
-    n_inits: int
-    n_batches: int
+    n_inits: int  # initializations averaged
+    n: int  # batches averaged, over those initializations
+    dead_inits: int  # excluded: the whole alphabet output was zero
+    zero_batches: int  # excluded: every row of the batch was zero
 
 
 def normalization_error(
@@ -45,6 +54,23 @@ def normalization_error(
     return float(np.linalg.norm(x_batch - x_alpha, axis=1).mean())
 
 
+def _alphabet_terms(raw: np.ndarray, power: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Per-row power and norm of the raw alphabet output, and its alphabet-scope scale."""
+    row_power = np.sum(raw * raw, axis=1)
+    return row_power, np.sqrt(row_power), np.sqrt(raw.shape[0] * power / row_power.sum())
+
+
+def _batch_errors(terms: tuple, indices: np.ndarray, power: float) -> np.ndarray:
+    """Normalization error of each row of batch indices, from _alphabet_terms.
+
+    A batch of all-zero rows has no batch-scope scale; its error is nan.
+    """
+    row_power, row_norm, s_alpha = terms
+    q_batch = row_power[indices].sum(axis=1)
+    s_batch = np.sqrt(indices.shape[1] * power / q_batch)
+    return np.abs(s_batch - s_alpha) * row_norm[indices].mean(axis=1)
+
+
 def _norm_errors_vectorized(
     raw: np.ndarray,
     indices: np.ndarray,
@@ -55,12 +81,7 @@ def _norm_errors_vectorized(
     Both normalizations scale the same raw rows, so the error of a batch is
     |s_batch - s_alphabet| times the mean raw-row norm of the batch.
     """
-    row_power = np.sum(raw * raw, axis=1)
-    row_norm = np.sqrt(row_power)
-    s_alpha = np.sqrt(raw.shape[0] * power / row_power.sum())
-    q_batch = row_power[indices].sum(axis=1)
-    s_batch = np.sqrt(indices.shape[1] * power / q_batch)
-    return np.abs(s_batch - s_alpha) * row_norm[indices].mean(axis=1)
+    return _batch_errors(_alphabet_terms(raw, power), indices, power)
 
 
 def norm_error_experiment(
@@ -75,28 +96,53 @@ def norm_error_experiment(
     """Average normalization error of randomly initialized transmitters.
 
     For each (M, batch_size) cell: n_inits transmitters, n_batches uniformly
-    sampled batches each, with P = eb * log2(M).
+    sampled batches each, with P = eb * log2(M). Each init's batches are drawn
+    in blocks of at most _BLOCK indices; the draws and the errors equal those
+    of one (n_batches, batch_size) draw.
+
+    Degenerate cases are excluded and counted, not averaged: an init whose
+    whole alphabet output is zero (a dead-ReLU transmitter, with no scale at
+    either scope), and a batch whose rows are all zero. Their batches are
+    still drawn, so every other cell keeps its values. A cell with nothing
+    left has n == 0 and a nan mean.
     """
     if not M_list or not batch_sizes:
         raise ValueError("M_list and batch_sizes must be nonempty")
     rng = np.random.default_rng(seed)
+    errors = np.empty(n_batches)
     stats = []
     for M in M_list:
         power = comm.power_from_eb(M, eb)
-        # per-init mean error for every batch size, raw outputs computed once
-        init_means = np.empty((n_inits, len(batch_sizes)))
+        # per-init mean error and batches averaged, for every batch size
+        init_means = np.full((n_inits, len(batch_sizes)), np.nan)
+        kept = np.zeros((n_inits, len(batch_sizes)), dtype=np.int64)
+        dead = 0
         for i in range(n_inits):
             tx = nn.build_mlp([M, *tx_hidden, 2], rng)
             raw, _ = nn.mlp_forward(np.arange(M), tx)
+            terms = _alphabet_terms(raw, power) if np.any(raw) else None
+            dead += terms is None
             for j, bs in enumerate(batch_sizes):
-                idx = rng.integers(0, M, size=(n_batches, bs))
-                init_means[i, j] = _norm_errors_vectorized(raw, idx, power).mean()
+                rows = max(1, _BLOCK // bs)
+                for a in range(0, n_batches, rows):
+                    idx = rng.integers(0, M, size=(min(rows, n_batches - a), bs))
+                    if terms is not None:
+                        with np.errstate(divide="ignore", invalid="ignore"):  # zero batches: nan
+                            errors[a:a + len(idx)] = _batch_errors(terms, idx, power)
+                if terms is not None:
+                    valid = errors[~np.isnan(errors)]
+                    kept[i, j] = len(valid)
+                    if len(valid):
+                        init_means[i, j] = valid.mean()
         for j, bs in enumerate(batch_sizes):
-            col = init_means[:, j]
-            stderr = col.std(ddof=1) / np.sqrt(n_inits) if n_inits > 1 else 0.0
-            stats.append(
-                NormErrorStats(M, bs, eb, float(col.mean()), float(stderr), n_inits, n_batches)
-            )
+            col = init_means[kept[:, j] > 0, j]
+            k = len(col)
+            mean = float(col.mean()) if k else float("nan")
+            stderr = col.std(ddof=1) / np.sqrt(k) if k > 1 else 0.0
+            stats.append(NormErrorStats(
+                M, bs, eb, mean, float(stderr), k, int(kept[:, j].sum()),
+                dead_inits=dead, zero_batches=int((n_inits - dead) * n_batches - kept[:, j].sum()),
+            ))
     return stats
 
 
@@ -114,10 +160,11 @@ def validation_accuracy(
     raw, _ = nn.mlp_forward(np.arange(M), tx)
     points, _ = comm.normalize_average(raw, power)
     correct = 0
+    ws = {}  # every batch has the same shape, so only the first pass allocates
     for _ in range(n_batches):
         labels = rng.integers(0, M, size=batch_size)
         y = comm.awgn(comm.gather(points, labels), sigma2, rng)
-        logits, _ = nn.mlp_forward(y, rx)
+        logits, _ = nn.mlp_forward(y, rx, ws=ws)
         correct += int(np.count_nonzero(comm.decode(logits) == labels))
     return correct / (n_batches * batch_size)
 
@@ -146,21 +193,34 @@ def ser_sweep(
 
     Decodes with the receiver network when given, else by minimum distance to
     the constellation. Power defaults to the constellation's mean row power.
+    Each point's labels and noise are drawn whole; the decode runs in blocks
+    of rows whose widest per-row array keeps a block within _BLOCK elements.
     """
     if power is None:
         power = float(np.mean(np.sum(points * points, axis=1)))
+    if rx is not None:
+        ws = {}
+
+        def decide(y):
+            logits, _ = nn.mlp_forward(y, rx, ws=ws)
+            return comm.decode(logits)
+
+        width = max(W.shape[1] for W in rx.weights)
+    else:
+        def decide(y):
+            d2 = ((y[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+            return np.argmin(d2, axis=1)
+
+        width = points.size
+    block = max(1, _BLOCK // width)
     rows = []
     for snr_db in snr_db_list:
         sigma2 = comm.sigma2_from_snr(power, snr_db)
         labels = rng.integers(0, points.shape[0], size=n_symbols)
         y = comm.awgn(comm.gather(points, labels), sigma2, rng)
-        if rx is not None:
-            logits, _ = nn.mlp_forward(y, rx)
-            decided = comm.decode(logits)
-        else:
-            d2 = ((y[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-            decided = np.argmin(d2, axis=1)
-        errors = int(np.count_nonzero(decided != labels))
+        errors = 0
+        for a in range(0, n_symbols, block):
+            errors += int(np.count_nonzero(decide(y[a:a + block]) != labels[a:a + block]))
         lo, hi = wilson_interval(errors, n_symbols)
         rows.append((float(snr_db), errors / n_symbols, lo, hi))
     return rows

@@ -122,6 +122,40 @@ class TestNormErrorCommand:
         assert lines[0] == "M,Bs,mean_error,std_error,n"
         assert len(lines) == 2
 
+    def test_dead_transmitters_excluded_and_reported(self, tmp_path, capsys):
+        # a one-unit hidden layer: at seed 0 one of the 30 transmitters has an
+        # all-zero alphabet output, and 44 batches of the others are all zero
+        cfg = write_config(
+            tmp_path,
+            "ne.json",
+            {"M_list": [4], "batch_sizes": [4], "tx_hidden": [1], "n_batches": 10, "seed": 0},
+        )
+        assert cli.main(["norm-error", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o" / "norm_error.csv").read_text().splitlines()
+        assert rows[0] == "M,Bs,mean_error,std_error,n"
+        M, bs, mean, stderr, n = rows[1].split(",")
+        assert np.isfinite(float(mean)) and np.isfinite(float(stderr))
+        assert int(n) == 29 * 10 - 44
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "norm-error: M=4 Bs=4: excluded 1 of 30 transmitters (all-zero output)"
+            " and 44 all-zero batches; averaged 246 batches"
+        ]
+
+    def test_cell_with_nothing_left_exits_1_without_csv(self, tmp_path, capsys):
+        # seed 25's only transmitter has an all-zero alphabet output
+        cfg = write_config(
+            tmp_path,
+            "ne.json",
+            {"M_list": [4], "batch_sizes": [4, 8], "n_inits": 1, "tx_hidden": [1], "n_batches": 10,
+             "seed": 25},
+        )
+        assert cli.main(["norm-error", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o" / "norm_error.csv").exists()
+        err = capsys.readouterr().err
+        assert "M=4 Bs=4: excluded 1 of 1 transmitters" in err
+        assert "failure: no batch left to average" in err
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(
             tmp_path,

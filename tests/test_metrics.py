@@ -1,5 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from aecomm import comm, metrics, nn
@@ -78,6 +83,91 @@ class TestNormErrorExperiment:
         with pytest.raises(ValueError):
             metrics.norm_error_experiment([], [4], 1, 1, 1.0, (10,), seed=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        M_list=st.lists(st.sampled_from([2, 4, 8, 16, 32, 64, 128, 256]), min_size=1, max_size=2),
+        batch_sizes=st.lists(st.integers(1, 90), min_size=1, max_size=3),
+        n_inits=st.integers(1, 3),
+        n_batches=st.integers(1, 23),
+        tx_hidden=st.sampled_from([(1,), (2,), (8,), (6, 6)]),
+        block=st.integers(1, 64),
+        seed=st.integers(0, 2**16),
+    )
+    def test_blocked_sweep_equals_one_shot(
+        self, M_list, batch_sizes, n_inits, n_batches, tx_hidden, block, seed
+    ):
+        # block sizes around the batch sizes: several rows per block, one row
+        # per block (Bs > block), and a last block that is only partly full.
+        # Hidden widths of 1 and 2 give dead transmitters and all-zero batches.
+        args = (M_list, batch_sizes, n_inits, n_batches, 1.0, tx_hidden, seed)
+        with mock.patch.object(metrics, "_BLOCK", block):
+            blocked = metrics.norm_error_experiment(*args)
+        assert stats_key(blocked) == one_shot_norm_error(*args)
+
+    def test_blocked_sweep_equals_one_shot_at_module_block(self):
+        B = metrics._BLOCK
+        # rows per block 4 with a partial last block, and one row per block
+        args = ([2, 256], [B // 4, B + 3], 2, 6, 1.0, (4,), 11)
+        assert stats_key(metrics.norm_error_experiment(*args)) == one_shot_norm_error(*args)
+
+    def test_dead_transmitters_and_zero_batches_excluded(self):
+        # hidden width 1 at seed 0: one of 30 transmitters outputs all zeros,
+        # and single-unit ReLU outputs leave some batches all zero
+        (stats,) = metrics.norm_error_experiment([4], [4], 30, 10, 1.0, (1,), seed=0)
+        assert stats.dead_inits == 1 and stats.zero_batches > 0
+        assert stats.n == 29 * 10 - stats.zero_batches
+        assert np.isfinite(stats.mean_error) and np.isfinite(stats.std_error)
+
+    def test_nothing_left_is_nan_with_n_zero(self):
+        (stats,) = metrics.norm_error_experiment([4], [4], 1, 10, 1.0, (1,), seed=25)
+        assert (stats.n, stats.n_inits, stats.dead_inits) == (0, 0, 1)
+        assert np.isnan(stats.mean_error)
+
+
+def one_shot_norm_error(M_list, batch_sizes, n_inits, n_batches, eb, tx_hidden, seed):
+    """The sweep with each cell's (n_batches, Bs) indices drawn in one call.
+
+    Degenerate transmitters and batches are left out of the means and
+    counted. Returns the rows stats_key makes of the sweep's stats.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for M in M_list:
+        power = comm.power_from_eb(M, eb)
+        means = [[] for _ in batch_sizes]
+        counts = [0] * len(batch_sizes)
+        dead = 0
+        for _ in range(n_inits):
+            tx = nn.build_mlp([M, *tx_hidden, 2], rng)
+            raw, _ = nn.mlp_forward(np.arange(M), tx)
+            dead += not raw.any()
+            for j, bs in enumerate(batch_sizes):
+                idx = rng.integers(0, M, size=(n_batches, bs))
+                if raw.any():
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        errs = metrics._norm_errors_vectorized(raw, idx, power)
+                    errs = errs[~np.isnan(errs)]
+                    counts[j] += errs.size
+                    if errs.size:
+                        means[j].append(errs.mean())
+        for j, bs in enumerate(batch_sizes):
+            col = np.array(means[j])
+            k = len(col)
+            mean = float(col.mean()) if k else float("nan")
+            stderr = float(col.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
+            zero = (n_inits - dead) * n_batches - counts[j]
+            rows.append((M, bs, repr(mean), repr(stderr), k, counts[j], dead, zero))
+    return rows
+
+
+def stats_key(stats):
+    """Every field of each cell; floats by repr, so a nan equals a nan."""
+    return [
+        (s.M, s.batch_size, repr(s.mean_error), repr(s.std_error), s.n_inits, s.n,
+         s.dead_inits, s.zero_batches)
+        for s in stats
+    ]
+
 
 class TestValidationAccuracy:
     def test_noiseless_separable_is_perfect(self):
@@ -120,6 +210,20 @@ class TestValidationAccuracy:
         acc = metrics.validation_accuracy(tx, rx, 1.0, 0.5, 3, 100, np.random.default_rng(3))
         assert 0.0 <= acc <= 1.0
 
+    def test_equals_fresh_arrays_per_batch(self):
+        rng = np.random.default_rng(12)
+        tx = nn.build_mlp([16, 20, 2], rng)
+        rx = nn.build_mlp([2, 20, 16], rng)
+        acc = metrics.validation_accuracy(tx, rx, 1.0, 0.3, 4, 250, np.random.default_rng(4))
+        points, _ = comm.normalize_average(nn.mlp_forward(np.arange(16), tx)[0], 1.0)
+        data = np.random.default_rng(4)
+        correct = 0
+        for _ in range(4):
+            labels = data.integers(0, 16, size=250)
+            y = comm.awgn(comm.gather(points, labels), 0.3, data)
+            correct += np.count_nonzero(comm.decode(nn.mlp_forward(y, rx)[0]) == labels)
+        assert acc == correct / 1000
+
 
 def qpsk_ser_closed_form(snr_db):
     gamma = 10 ** (snr_db / 10.0)
@@ -148,6 +252,32 @@ class TestSerSweep:
         rows = metrics.ser_sweep(qpsk_points(), None, [30.0], 20000, np.random.default_rng(7))
         assert rows[0][1] == 0.0
 
+    @pytest.mark.parametrize("n_symbols", [300, 1234, 5000])
+    @pytest.mark.parametrize("decoder", ["rx", "min-distance"])
+    def test_blocked_decode_equals_full_array(self, decoder, n_symbols):
+        # 300 rows is below one block for both decoders; 1234 and 5000 end in a partial block
+        rng = np.random.default_rng(13)
+        points, _ = comm.normalize_average(rng.normal(size=(128, 2)), 1.0)
+        rx = nn.build_mlp([2, 100, 100, 128], rng) if decoder == "rx" else None
+        snrs = [0.0, 10.0, 30.0]
+        blocked = metrics.ser_sweep(points, rx, snrs, n_symbols, np.random.default_rng(14), power=1.0)
+        full = full_array_ser(points, rx, snrs, n_symbols, np.random.default_rng(14), power=1.0)
+        assert blocked == full
+
+    @pytest.mark.parametrize("decoder", ["rx", "min-distance"])
+    def test_memory_bounded_by_block(self, decoder):
+        rng = np.random.default_rng(15)
+        points, _ = comm.normalize_average(rng.normal(size=(128, 2)), 1.0)
+        rx = nn.build_mlp([2, 100, 100, 128], rng) if decoder == "rx" else None
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            metrics.ser_sweep(points, rx, [10.0], 100000, np.random.default_rng(16), power=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 16 * 2**20
+
     def test_wilson_interval(self):
         lo, hi = metrics.wilson_interval(0, 100)
         assert lo == pytest.approx(0.0, abs=1e-12) and 0.0 < hi < 0.05
@@ -155,3 +285,20 @@ class TestSerSweep:
         assert lo < 0.5 < hi
         with pytest.raises(ValueError):
             metrics.wilson_interval(0, 0)
+
+
+def full_array_ser(points, rx, snr_db_list, n_symbols, rng, power):
+    """ser_sweep with each SNR point decoded in one pass over all its symbols."""
+    rows = []
+    for snr_db in snr_db_list:
+        sigma2 = comm.sigma2_from_snr(power, snr_db)
+        labels = rng.integers(0, points.shape[0], size=n_symbols)
+        y = comm.awgn(comm.gather(points, labels), sigma2, rng)
+        if rx is not None:
+            decided = comm.decode(nn.mlp_forward(y, rx)[0])
+        else:
+            decided = np.argmin(((y[:, None, :] - points[None, :, :]) ** 2).sum(axis=2), axis=1)
+        errors = int(np.count_nonzero(decided != labels))
+        lo, hi = metrics.wilson_interval(errors, n_symbols)
+        rows.append((float(snr_db), errors / n_symbols, lo, hi))
+    return rows
