@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import json
 import math
@@ -30,6 +31,43 @@ from . import comm, metrics, train
 
 class ConfigError(Exception):
     pass
+
+
+def _openblas_function(name: str):
+    """The OpenBLAS function `name` (e.g. "set_num_threads") of the loaded BLAS, or None.
+
+    numpy 2.x wheels bundle scipy-openblas, whose symbols carry a scipy_ prefix,
+    and 1.x wheels plain OpenBLAS; 64-bit-integer builds add a 64_ suffix.
+    """
+    try:
+        with open("/proc/self/maps") as fh:  # Linux only
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if "blas" in os.path.basename(p).lower()):
+        lib = ctypes.CDLL(path)
+        for sym in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
+                    f"openblas_{name}64_", f"openblas_{name}"):
+            if hasattr(lib, sym):
+                return getattr(lib, sym)
+    return None
+
+
+def pin_blas_threads() -> None:
+    """Run the loaded OpenBLAS on one thread.
+
+    These networks' matmuls are too small for a second BLAS thread to pay, and
+    a thread count that follows the core count would make the last bits of a
+    run depend on the machine; parallelism comes from compare's process pool.
+    Without an OpenBLAS to pin, it says so on stderr and carries on.
+    """
+    set_threads = _openblas_function("set_num_threads")
+    if set_threads is None:
+        print("note: no OpenBLAS found to pin to one thread; BLAS keeps its default threads",
+              file=sys.stderr)
+        return
+    set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
+    set_threads(1)
 
 
 def _load_config(path: str, schema: dict) -> dict:
@@ -76,10 +114,14 @@ def _is_seed(v):
     return _is_int(v) and v >= 0
 
 
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _is_num(v):
     # json.load accepts NaN and Infinity tokens, and ints too large for a
     # float; no config value may be either
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_real(v):
         return False
     try:
         return math.isfinite(v)
@@ -104,22 +146,22 @@ def _list_of(check):
     return lambda v: isinstance(v, list) and len(v) > 0 and all(check(x) for x in v)
 
 
-# One type checker per TrainConfig field that the train command exposes. The
-# defaults, and the checks on M, batch_size, architecture and data_budget, are
-# TrainConfig's own; _train_config turns its ValueError into a ConfigError.
+# One JSON type checker per TrainConfig field that the train command exposes.
+# The defaults and every range check are TrainConfig's own; _train_config
+# turns its ValueError into a ConfigError.
 _TRAIN_CHECKS = {
     "M": _is_int,
     "batch_size": _is_int,
-    "snr_db": _is_num,
-    "power": _is_pos_num,
+    "snr_db": _is_real,
+    "power": _is_real,
     "architecture": _is_str,
-    "tx_hidden": _list_of(_is_pos_int),
-    "rx_hidden": _list_of(_is_pos_int),
-    "lr": _is_pos_num,
+    "tx_hidden": _list_of(_is_int),
+    "rx_hidden": _list_of(_is_int),
+    "lr": _is_real,
     "data_budget": _is_int,
-    "init_seed": _is_seed,
-    "data_seed": _is_seed,
-    "noise_seed": lambda v: v is None or _is_seed(v),
+    "init_seed": _is_int,
+    "data_seed": _is_int,
+    "noise_seed": lambda v: v is None or _is_int(v),
 }
 _TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(train.TrainConfig)}
 
@@ -279,7 +321,8 @@ def cmd_compare(cfg: dict, out_dir: Path, workers: int) -> None:
     mode = "a" if done else "w"
     parallel = workers > 1 and bool(cells)
     with open(out_path, mode, newline="") as fh, (
-        concurrent.futures.ProcessPoolExecutor(max_workers=workers) if parallel else contextlib.nullcontext()
+        concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_threads)
+        if parallel else contextlib.nullcontext()
     ) as pool:
         writer = csv.writer(fh)
         if not done:
@@ -344,11 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", required=True, help="output directory (created if missing)")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0))
+                       if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    pin_blas_threads()
     args = build_parser().parse_args(argv)
     schema, fn = _COMMANDS[args.command]
     try:

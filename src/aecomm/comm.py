@@ -102,14 +102,3 @@ def export_constellation_csv(points: np.ndarray, path) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def load_constellation_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "index,re,im":
-            raise ValueError(f"unexpected constellation header: {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    points = np.empty((len(rows), 2))
-    for idx, re, im in rows:
-        points[int(idx)] = (float(re), float(im))
-    return points

@@ -63,25 +63,14 @@ def _alphabet_terms(raw: np.ndarray, power: float) -> tuple[np.ndarray, np.ndarr
 def _batch_errors(terms: tuple, indices: np.ndarray, power: float) -> np.ndarray:
     """Normalization error of each row of batch indices, from _alphabet_terms.
 
-    A batch of all-zero rows has no batch-scope scale; its error is nan.
+    Both normalizations scale the same raw rows, so the error of a batch is
+    |s_batch - s_alphabet| times the mean raw-row norm of the batch. A batch
+    of all-zero rows has no batch-scope scale; its error is nan.
     """
     row_power, row_norm, s_alpha = terms
     q_batch = row_power[indices].sum(axis=1)
     s_batch = np.sqrt(indices.shape[1] * power / q_batch)
     return np.abs(s_batch - s_alpha) * row_norm[indices].mean(axis=1)
-
-
-def _norm_errors_vectorized(
-    raw: np.ndarray,
-    indices: np.ndarray,
-    power: float,
-) -> np.ndarray:
-    """Normalization error for many batches at once.
-
-    Both normalizations scale the same raw rows, so the error of a batch is
-    |s_batch - s_alphabet| times the mean raw-row norm of the batch.
-    """
-    return _batch_errors(_alphabet_terms(raw, power), indices, power)
 
 
 def norm_error_experiment(
@@ -194,7 +183,8 @@ def ser_sweep(
     Decodes with the receiver network when given, else by minimum distance to
     the constellation. Power defaults to the constellation's mean row power.
     Each point's labels and noise are drawn whole; the decode runs in blocks
-    of rows whose widest per-row array keeps a block within _BLOCK elements.
+    of rows whose widest per-row array keeps a block within _BLOCK elements,
+    and every block has the same number of rows.
     """
     if power is None:
         power = float(np.mean(np.sum(points * points, axis=1)))
@@ -220,7 +210,11 @@ def ser_sweep(
         y = comm.awgn(comm.gather(points, labels), sigma2, rng)
         errors = 0
         for a in range(0, n_symbols, block):
-            errors += int(np.count_nonzero(decide(y[a:a + block]) != labels[a:a + block]))
+            # a partial last block is decoded as the last full window, and only
+            # its new rows count: a pass's last bits depend on its row count
+            lo = max(0, min(a, n_symbols - block))
+            wrong = decide(y[lo:a + block]) != labels[lo:a + block]
+            errors += int(np.count_nonzero(wrong[a - lo:]))
         lo, hi = wilson_interval(errors, n_symbols)
         rows.append((float(snr_db), errors / n_symbols, lo, hi))
     return rows

@@ -58,23 +58,12 @@ class Mlp:
     def in_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
     def param_list(self) -> list[np.ndarray]:
         """Flat parameter list [W0, b0, W1, b1, ...] (aliases, not copies)."""
         out = []
         for W, b in zip(self.weights, self.biases):
             out.extend((W, b))
         return out
-
-    def copy(self) -> "Mlp":
-        return Mlp(
-            [W.copy() for W in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.activations),
-        )
 
 
 def glorot_init(in_dim: int, out_dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -195,13 +184,6 @@ def _one_hot_grad(out: np.ndarray, idx: np.ndarray, dZ: np.ndarray, ws: dict) ->
         flat *= n_cols
         flat += np.arange(n_cols)
         np.add.at(out.reshape(-1), flat.reshape(-1), dZ.reshape(-1))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by max subtraction."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def softmax_cross_entropy(

@@ -16,6 +16,7 @@ is the only varied factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -54,10 +55,24 @@ class TrainConfig:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}")
         if self.data_budget < self.batch_size:
             raise ValueError("data_budget must be >= batch_size (at least one step)")
+        for name in ("snr_db", "power", "lr"):
+            try:
+                finite = math.isfinite(getattr(self, name))
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be a finite number")
+        for name in ("power", "lr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.noise_seed is None:
             self.noise_seed = self.data_seed
+        if min(self.init_seed, self.data_seed, self.noise_seed) < 0:
+            raise ValueError("seeds must be >= 0")
         self.tx_hidden = tuple(self.tx_hidden)
         self.rx_hidden = tuple(self.rx_hidden)
+        if any(h < 1 for h in self.tx_hidden + self.rx_hidden):
+            raise ValueError("hidden layer sizes must be >= 1")
 
     @property
     def sigma2(self) -> float:

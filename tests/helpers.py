@@ -1,8 +1,9 @@
-"""Shared test utilities: flat-vector loss wrappers for gradient checking."""
+"""Shared test utilities: flat-vector loss wrappers for gradient checking, and
+reference helpers that only the tests use."""
 
 import numpy as np
 
-from aecomm import nn, train
+from aecomm import metrics, nn, train
 
 
 def e2e_loss_fn(architecture, tx, rx, batch, noise, power):
@@ -27,3 +28,28 @@ def qpsk_points(power=1.0):
     """The four QPSK symbols at total symbol energy `power`."""
     a = np.sqrt(power / 2.0)
     return np.array([[a, a], [-a, a], [-a, -a], [a, -a]])
+
+
+def softmax(logits):
+    """Row-wise softmax, stabilized by max subtraction."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def load_constellation_csv(path):
+    """The points of a constellation.csv (`index,re,im` rows), as an M x 2 array."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != "index,re,im":
+            raise ValueError(f"unexpected constellation header: {header!r}")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    points = np.empty((len(rows), 2))
+    for idx, re, im in rows:
+        points[int(idx)] = (float(re), float(im))
+    return points
+
+
+def norm_errors_vectorized(raw, indices, power):
+    """Normalization error of each row of batch indices, from the raw alphabet output."""
+    return metrics._batch_errors(metrics._alphabet_terms(raw, power), indices, power)

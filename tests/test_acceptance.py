@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Criterion 5 runs a reduced 3x3-seed variant by default; set
-AECOMM_FULL_ACCEPTANCE=1 to run the full 10x10-seed sweep (~45 min).
+AECOMM_FULL_ACCEPTANCE=1 to run the full 10x10-seed sweep (~25 min on 2 cores).
 Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import csv
 import json
 import os
 
@@ -128,25 +129,24 @@ def test_criterion_4_batch_size_and_alphabet_trends():
     report(4)
 
 
-def _accuracy_table(batch_sizes, init_seeds, data_seeds):
-    table = {}
-    for bs in batch_sizes:
-        for arch in train.ARCHITECTURES:
-            table[(bs, arch)] = []
-        for init_seed in init_seeds:
-            for data_seed in data_seeds:
-                for arch in train.ARCHITECTURES:
-                    cfg = train.TrainConfig(
-                        M=128, batch_size=bs, snr_db=45.0, power=1.0, architecture=arch,
-                        tx_hidden=(100, 100), rx_hidden=(100, 100), lr=0.008,
-                        data_budget=76800, init_seed=init_seed, data_seed=data_seed,
-                    )
-                    result = train.train_run(cfg)
-                    acc = metrics.validation_accuracy(
-                        result.tx, result.rx, cfg.power, cfg.sigma2,
-                        30, 1000, np.random.default_rng(0),
-                    )
-                    table[(bs, arch)].append(acc)
+def _accuracy_table(tmp_path, batch_sizes, init_seeds, data_seeds):
+    """Paired validation accuracies at paper scale, keyed by (Bs, arch).
+
+    The runs go through `aecomm compare` at its default worker count, the
+    same process pool a user's sweep runs in.
+    """
+    cfg = tmp_path / "compare.json"
+    cfg.write_text(json.dumps({
+        "M": 128, "snr_db": 45.0, "power": 1.0, "tx_hidden": [100, 100], "rx_hidden": [100, 100],
+        "lr": 0.008, "data_budget": 76800, "val_batches": 30, "val_batch_size": 1000, "val_seed": 0,
+        "batch_sizes": batch_sizes, "init_seeds": init_seeds, "data_seeds": data_seeds,
+    }))
+    assert cli.main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    table = {(bs, arch): [] for bs in batch_sizes for arch in train.ARCHITECTURES}
+    # rows come in (Bs, init_seed, data_seed) order, so each list keeps the pairing
+    with open(tmp_path / "out" / "accuracy.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            table[(int(row["Bs"]), row["arch"])].append(float(row["accuracy"]))
     return table
 
 
@@ -177,10 +177,10 @@ def _check_comparison(table, batch_sizes, median_batch_sizes):
     assert float(np.mean(shrink < 0.0)) <= 0.05
 
 
-def test_criterion_5_paired_accuracy_comparison_smoke():
+def test_criterion_5_paired_accuracy_comparison_smoke(tmp_path):
     """Reduced Fig.-5 variant: 3x3 seeds, batch sizes 16 and 256, paper scale per run."""
     batch_sizes = [16, 256]
-    table = _accuracy_table(batch_sizes, init_seeds=[0, 1, 2], data_seeds=[100, 101, 102])
+    table = _accuracy_table(tmp_path, batch_sizes, init_seeds=[0, 1, 2], data_seeds=[100, 101, 102])
     _check_comparison(table, batch_sizes, median_batch_sizes=batch_sizes)
     means = {k: round(float(np.mean(v)), 4) for k, v in table.items()}
     report(5, f"(smoke variant; means {means})")
@@ -188,12 +188,12 @@ def test_criterion_5_paired_accuracy_comparison_smoke():
 
 @pytest.mark.skipif(
     not os.environ.get("AECOMM_FULL_ACCEPTANCE"),
-    reason="full 10x10-seed sweep (~45 min); set AECOMM_FULL_ACCEPTANCE=1",
+    reason="full 10x10-seed sweep (~25 min on 2 cores); set AECOMM_FULL_ACCEPTANCE=1",
 )
-def test_criterion_5_paired_accuracy_comparison_full():
+def test_criterion_5_paired_accuracy_comparison_full(tmp_path):
     batch_sizes = [16, 32, 64, 128, 256]
     table = _accuracy_table(
-        batch_sizes, init_seeds=list(range(10)), data_seeds=list(range(100, 110))
+        tmp_path, batch_sizes, init_seeds=list(range(10)), data_seeds=list(range(100, 110))
     )
     _check_comparison(table, batch_sizes, median_batch_sizes=batch_sizes)
     report(5, "(full scale)")

@@ -1,9 +1,11 @@
+import ctypes
 import json
 
 import numpy as np
 import pytest
 
-from aecomm import cli, comm
+from aecomm import cli
+from helpers import load_constellation_csv
 
 
 def write_config(tmp_path, name, payload):
@@ -110,6 +112,33 @@ class TestConfigValidation:
         assert "failure" in capsys.readouterr().err
 
 
+NORM_ERROR_TINY = {"M_list": [4], "batch_sizes": [4], "n_inits": 1, "n_batches": 2, "tx_hidden": [4]}
+
+
+class TestBlasPin:
+    def test_main_leaves_openblas_on_one_thread(self, tmp_path):
+        set_threads = cli._openblas_function("set_num_threads")
+        get_threads = cli._openblas_function("get_num_threads")
+        if get_threads is None:
+            pytest.skip("no OpenBLAS loaded")
+        get_threads.restype, get_threads.argtypes = ctypes.c_int, []
+        cfg = write_config(tmp_path, "ne.json", NORM_ERROR_TINY)
+        set_threads(2)
+        try:
+            assert cli.main(["norm-error", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+            assert get_threads() == 1
+        finally:
+            cli.pin_blas_threads()
+
+    def test_no_openblas_found_still_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas_function", lambda name: None)
+        cfg = write_config(tmp_path, "ne.json", NORM_ERROR_TINY)
+        assert cli.main(["norm-error", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "no OpenBLAS found" in line
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["norm_error.csv", "norm_error_meta.json"]
+
+
 class TestNormErrorCommand:
     def test_minimal_config_one_row(self, tmp_path):
         cfg = write_config(
@@ -180,7 +209,7 @@ class TestTrainCommand:
     def test_exported_constellation_power(self, tmp_path):
         cfg = write_config(tmp_path, "t.json", TRAIN_SMOKE)
         cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
-        points = comm.load_constellation_csv(tmp_path / "o" / "constellation.csv")
+        points = load_constellation_csv(tmp_path / "o" / "constellation.csv")
         assert np.mean(np.sum(points * points, axis=1)) == pytest.approx(1.0, rel=1e-9)
 
     def test_rerun_byte_identical(self, tmp_path):

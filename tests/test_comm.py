@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aecomm import comm, nn
+from helpers import load_constellation_csv, softmax
 
 
 def random_matrix(seed, rows=6, cols=2, scale=1.0):
@@ -172,7 +173,7 @@ class TestDecode:
 
     def test_softmax_monotone(self):
         logits = np.random.default_rng(16).normal(size=(20, 7))
-        assert np.array_equal(comm.decode(logits), comm.decode(nn.softmax(logits)))
+        assert np.array_equal(comm.decode(logits), comm.decode(softmax(logits)))
 
 
 class TestConstellationCsv:
@@ -180,7 +181,7 @@ class TestConstellationCsv:
         points = random_matrix(17, rows=8)
         path = tmp_path / "c.csv"
         comm.export_constellation_csv(points, path)
-        loaded = comm.load_constellation_csv(path)
+        loaded = load_constellation_csv(path)
         assert np.array_equal(points, loaded)
         header = path.read_text().splitlines()[0]
         assert header == "index,re,im"

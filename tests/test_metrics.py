@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from aecomm import comm, metrics, nn
-from helpers import qpsk_points
+from helpers import norm_errors_vectorized, qpsk_points
 
 
 def tx_with_outputs(raw):
@@ -57,7 +57,7 @@ class TestNormalizationError:
         tx = random_tx(16, seed=5)
         raw, _ = nn.mlp_forward(np.eye(16), tx)
         idx = rng.integers(0, 16, size=(50, 6))
-        fast = metrics._norm_errors_vectorized(raw, idx, 4.0)
+        fast = norm_errors_vectorized(raw, idx, 4.0)
         slow = [metrics.normalization_error(tx, row, 4.0) for row in idx]
         assert np.allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
@@ -67,7 +67,7 @@ class TestNormErrorExperiment:
         tx = random_tx(4, seed=6)
         raw, _ = nn.mlp_forward(np.eye(4), tx)
         idx = np.tile(np.arange(4), (10, 3))  # 3 copies of the alphabet per batch
-        errs = metrics._norm_errors_vectorized(raw, idx, 2.0)
+        errs = norm_errors_vectorized(raw, idx, 2.0)
         assert np.all(errs < 1e-12)
 
     def test_stats_shape_and_determinism(self):
@@ -145,7 +145,7 @@ def one_shot_norm_error(M_list, batch_sizes, n_inits, n_batches, eb, tx_hidden, 
                 idx = rng.integers(0, M, size=(n_batches, bs))
                 if raw.any():
                     with np.errstate(divide="ignore", invalid="ignore"):
-                        errs = metrics._norm_errors_vectorized(raw, idx, power)
+                        errs = norm_errors_vectorized(raw, idx, power)
                     errs = errs[~np.isnan(errs)]
                     counts[j] += errs.size
                     if errs.size:
@@ -263,6 +263,24 @@ class TestSerSweep:
         blocked = metrics.ser_sweep(points, rx, snrs, n_symbols, np.random.default_rng(14), power=1.0)
         full = full_array_ser(points, rx, snrs, n_symbols, np.random.default_rng(14), power=1.0)
         assert blocked == full
+
+    def test_every_receiver_pass_has_one_row_count(self):
+        # a pass's last bits depend on its row count, so a partial last block
+        # is decoded as the last full window
+        rng = np.random.default_rng(17)
+        points, _ = comm.normalize_average(rng.normal(size=(128, 2)), 1.0)
+        rx = nn.build_mlp([2, 100, 100, 128], rng)
+        block = metrics._BLOCK // 128
+        rows = []
+
+        def spy(X, mlp, **kw):
+            rows.append(len(X))
+            return forward(X, mlp, **kw)
+
+        forward = nn.mlp_forward
+        with mock.patch.object(nn, "mlp_forward", spy):
+            metrics.ser_sweep(points, rx, [0.0, 10.0], 3 * block + 7, np.random.default_rng(18), power=1.0)
+        assert rows == [block] * 8
 
     @pytest.mark.parametrize("decoder", ["rx", "min-distance"])
     def test_memory_bounded_by_block(self, decoder):

@@ -247,6 +247,16 @@ class TestTrainRun:
             small_config(architecture="other")
         with pytest.raises(ValueError):
             small_config(batch_size=8, data_budget=4)  # zero steps
+        with pytest.raises(ValueError):
+            small_config(power=-1.0)
+        with pytest.raises(ValueError):
+            small_config(lr=-0.1)
+        with pytest.raises(ValueError):
+            small_config(tx_hidden=(0,))
+        with pytest.raises(ValueError):
+            small_config(init_seed=-1)
+        with pytest.raises(ValueError):
+            small_config(power=float("nan"))
 
 
 def run_steps(config, n_steps, ws):
