@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,15 @@ from . import comm, metrics, train
 
 class ConfigError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _config_errors():
+    """Re-raise a library's ValueError, a rejected value, as a ConfigError (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _openblas_function(name: str):
@@ -210,10 +220,8 @@ def _write_meta(out_dir: Path, name: str, cfg: dict) -> None:
 def _train_config(cfg: dict, **overrides) -> train.TrainConfig:
     """The TrainConfig of cfg's training keys plus `overrides`; a rejected one is a ConfigError."""
     fields = {key: v for key, v in cfg.items() if key in _TRAIN_DEFAULTS}
-    try:
+    with _config_errors():
         return train.TrainConfig(**{**fields, **overrides})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _train_and_score(config: train.TrainConfig, cfg: dict) -> tuple[train.RunResult, float]:
@@ -227,18 +235,23 @@ def _train_and_score(config: train.TrainConfig, cfg: dict) -> tuple[train.RunRes
     return result, accuracy
 
 
-def _compare_cell(args) -> list[tuple[str, int, int, int, float]]:
+def _compare_cell(args) -> tuple[list[tuple[str, int, int, int, float]], float]:
+    """Both architectures' rows of one (Bs, init_seed, data_seed) cell, and its wall seconds."""
     cfg, batch_size, init_seed, data_seed = args
+    start = time.perf_counter()
     rows = []
     for arch in train.ARCHITECTURES:
         config = _train_config(
             cfg, architecture=arch, batch_size=batch_size, init_seed=init_seed, data_seed=data_seed
         )
         rows.append((arch, batch_size, init_seed, data_seed, _train_and_score(config, cfg)[1]))
-    return rows
+    return rows, time.perf_counter() - start
 
 
 def cmd_norm_error(cfg: dict, out_dir: Path, workers: int) -> None:
+    with _config_errors():  # an eb whose power overflows at some M
+        for M in cfg["M_list"]:
+            comm.power_from_eb(M, cfg["eb"])
     stats = metrics.norm_error_experiment(
         cfg["M_list"],
         cfg["batch_sizes"],
@@ -328,10 +341,15 @@ def cmd_compare(cfg: dict, out_dir: Path, workers: int) -> None:
         if not done:
             writer.writerow(["arch", "Bs", "init_seed", "data_seed", "accuracy"])
         # both maps yield in cell order, so the output does not depend on workers
-        for rows in (pool.map if parallel else map)(_compare_cell, cells):
+        results = (pool.map if parallel else map)(_compare_cell, cells)
+        start = time.perf_counter()
+        for k, ((_, bs, i, d), (rows, seconds)) in enumerate(zip(cells, results), 1):
             for row in rows:
                 writer.writerow([*row[:4], f"{row[4]:.17g}"])
             fh.flush()
+            eta = (time.perf_counter() - start) / k * (len(cells) - k)
+            print(f"compare: cell {k}/{len(cells)} Bs={bs} init_seed={i} data_seed={d}:"
+                  f" {seconds:.1f} s, ETA {eta:.0f} s", file=sys.stderr)
 
 
 def cmd_train(cfg: dict, out_dir: Path, workers: int) -> None:
@@ -357,13 +375,14 @@ def cmd_ser(cfg: dict, out_dir: Path, workers: int) -> None:
         raise ConfigError(f"run file not found: {run_path}")
     with open(run_path) as fh:
         doc = json.load(fh)
+    power = doc["config"]["power"]
+    with _config_errors():  # an SNR whose noise variance under- or overflows
+        for snr_db in cfg["snr_db_list"]:
+            comm.sigma2_from_snr(power, snr_db)
     points = np.asarray(doc["constellation"], dtype=float)
     rx = train.mlp_from_dict(doc["rx"])
     rng = np.random.default_rng(cfg["seed"])
-    rows = metrics.ser_sweep(
-        points, rx, cfg["snr_db_list"], cfg["n_symbols"], rng,
-        power=doc["config"]["power"],
-    )
+    rows = metrics.ser_sweep(points, rx, cfg["snr_db_list"], cfg["n_symbols"], rng, power=power)
     with open(out_dir / "ser.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["snr_db", "ser", "ci_lo", "ci_hi"])

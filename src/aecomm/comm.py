@@ -8,6 +8,8 @@ per real component), and SNR = P / sigma2.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -16,19 +18,32 @@ class DegenerateInputError(ValueError):
 
 
 def sigma2_from_snr(power: float, snr_db: float) -> float:
-    """Total complex noise variance for a given transmit power and SNR in dB."""
+    """Total complex noise variance for a given transmit power and SNR in dB.
+
+    Raises ValueError if an extreme SNR under- or overflows it.
+    """
     if power <= 0:
         raise ValueError("power must be positive")
-    return power * 10.0 ** (-snr_db / 10.0)
+    try:
+        sigma2 = power * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"SNR {snr_db} dB at power {power} gives noise variance {sigma2}")
+    return sigma2
 
 
 def power_from_eb(M: int, eb: float) -> float:
-    """Transmit power for energy-per-bit eb: P = eb * log2(M). M must be a power of 2."""
+    """Transmit power for energy-per-bit eb: P = eb * log2(M), finite. M must be a power of 2."""
     if M < 2 or (M & (M - 1)) != 0:
         raise ValueError(f"alphabet size must be a power of 2, got {M}")
     if eb <= 0:
         raise ValueError("energy per bit must be positive")
-    return eb * np.log2(M)
+    with np.errstate(over="ignore"):
+        power = eb * np.log2(M)
+    if not np.isfinite(power):
+        raise ValueError(f"energy per bit {eb} at M={M} gives infinite power")
+    return power
 
 
 def normalize_average(X: np.ndarray, power: float) -> tuple[np.ndarray, float]:

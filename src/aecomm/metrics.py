@@ -9,6 +9,8 @@ when the two scale factors coincide on the batch.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,36 @@ _Z95 = 1.959963984540054
 # per-row activation within it. Bounded blocks stay in cache, so the sweeps'
 # memory does not grow with n_batches * Bs or n_symbols.
 _BLOCK = 1 << 16
+
+
+def _draw_indices(rng: np.random.Generator, M: int, size) -> np.ndarray:
+    """rng.integers(0, M, size=size), read off PCG64's raw stream; same values, same state.
+
+    For a power-of-2 M <= 2**32, Lemire's method in integers never rejects, so
+    each value is the top log2(M) bits of one next_uint32: the low, then the
+    high half of a raw 64-bit draw. Any other case goes to integers. The state
+    round trip costs microseconds, so this pays only for thousands of indices.
+    """
+    bg = rng.bit_generator
+    shape = (size,) if np.ndim(size) == 0 else tuple(size)
+    n = math.prod(shape)
+    if (type(bg) is not np.random.PCG64 or sys.byteorder != "little"
+            or not 2 <= M <= 1 << 32 or M & (M - 1) or n == 0):
+        return rng.integers(0, M, size=size)
+    shift = 33 - int(M).bit_length()
+    state = bg.state
+    carry = state["has_uint32"]
+    halves = bg.random_raw((n - carry + 1) // 2).view(np.uint32)
+    out = np.empty(n, dtype=np.int64)
+    out[:carry] = state["uinteger"] >> shift
+    np.right_shift(halves[:n - carry], shift, out=out[carry:])
+    # integers leaves its last raw high half in uinteger, unread after an odd count
+    state = bg.state
+    state["has_uint32"] = (n - carry) % 2
+    if len(halves):
+        state["uinteger"] = int(halves[-1])
+    bg.state = state
+    return out.reshape(shape)
 
 
 @dataclass
@@ -114,7 +146,7 @@ def norm_error_experiment(
             for j, bs in enumerate(batch_sizes):
                 rows = max(1, _BLOCK // bs)
                 for a in range(0, n_batches, rows):
-                    idx = rng.integers(0, M, size=(min(rows, n_batches - a), bs))
+                    idx = _draw_indices(rng, M, (min(rows, n_batches - a), bs))
                     if terms is not None:
                         with np.errstate(divide="ignore", invalid="ignore"):  # zero batches: nan
                             errors[a:a + len(idx)] = _batch_errors(terms, idx, power)
@@ -151,6 +183,7 @@ def validation_accuracy(
     correct = 0
     ws = {}  # every batch has the same shape, so only the first pass allocates
     for _ in range(n_batches):
+        # validation batches (1000 labels by default) are below _draw_indices' break-even
         labels = rng.integers(0, M, size=batch_size)
         y = comm.awgn(comm.gather(points, labels), sigma2, rng)
         logits, _ = nn.mlp_forward(y, rx, ws=ws)
@@ -206,7 +239,7 @@ def ser_sweep(
     rows = []
     for snr_db in snr_db_list:
         sigma2 = comm.sigma2_from_snr(power, snr_db)
-        labels = rng.integers(0, points.shape[0], size=n_symbols)
+        labels = _draw_indices(rng, points.shape[0], n_symbols)
         y = comm.awgn(comm.gather(points, labels), sigma2, rng)
         errors = 0
         for a in range(0, n_symbols, block):

@@ -1,5 +1,4 @@
-"""Minimal dense-network machinery: forward/backward passes, Adam, and a
-finite-difference gradient checker.
+"""Minimal dense-network machinery: forward/backward passes and Adam.
 
 Everything operates on float64 numpy arrays. An MLP is a flat list of dense
 layers with per-layer activation tags ('relu' or 'linear'); the forward pass
@@ -19,7 +18,7 @@ call fills a fresh one, and so returns fresh arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -264,37 +263,6 @@ class Adam:
         d += self.epsilon
         u /= d
         p -= u
-
-
-def gradient_check(
-    f: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    x: np.ndarray,
-    h: float = 1e-5,
-) -> float:
-    """Max relative error between the analytic gradient of f and central differences.
-
-    f maps a flat parameter vector to (value, gradient). The error for each
-    component is |analytic - numeric| / max(1, |analytic|, |numeric|).
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    _, analytic = f(x)
-    analytic = np.asarray(analytic, dtype=float)
-    worst = 0.0
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += h
-        fp, _ = f(xp)
-        xm = x.copy()
-        xm[i] -= h
-        fm, _ = f(xm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise FloatingPointError("non-finite loss during gradient check")
-        numeric = (fp - fm) / (2.0 * h)
-        err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]), abs(numeric))
-        worst = max(worst, err)
-    return worst
 
 
 def pack_params(*mlps: Mlp) -> tuple[np.ndarray, np.ndarray]:

@@ -65,6 +65,7 @@ class TrainConfig:
         for name in ("power", "lr"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        comm.sigma2_from_snr(self.power, self.snr_db)  # an SNR that under- or overflows raises
         if self.noise_seed is None:
             self.noise_seed = self.data_seed
         if min(self.init_seed, self.data_seed, self.noise_seed) < 0:
@@ -106,6 +107,7 @@ def sample_batch(M: int, batch_size: int, rng: np.random.Generator) -> np.ndarra
     """Uniform i.i.d. message indices, with replacement."""
     if M < 1 or batch_size < 1:
         raise ValueError("M and batch_size must be >= 1")
+    # batches are too small for metrics._draw_indices to beat integers
     return rng.integers(0, M, size=batch_size)
 
 

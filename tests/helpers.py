@@ -1,5 +1,5 @@
-"""Shared test utilities: flat-vector loss wrappers for gradient checking, and
-reference helpers that only the tests use."""
+"""Shared test utilities: the finite-difference gradient checker, flat-vector
+loss wrappers for it, and reference helpers that only the tests use."""
 
 import numpy as np
 
@@ -53,3 +53,30 @@ def load_constellation_csv(path):
 def norm_errors_vectorized(raw, indices, power):
     """Normalization error of each row of batch indices, from the raw alphabet output."""
     return metrics._batch_errors(metrics._alphabet_terms(raw, power), indices, power)
+
+
+def gradient_check(f, x, h=1e-5):
+    """Max relative error between the analytic gradient of f and central differences.
+
+    f maps a flat parameter vector to (value, gradient). The error for each
+    component is |analytic - numeric| / max(1, |analytic|, |numeric|).
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x = np.asarray(x, dtype=float)
+    _, analytic = f(x)
+    analytic = np.asarray(analytic, dtype=float)
+    worst = 0.0
+    for i in range(x.size):
+        xp = x.copy()
+        xp[i] += h
+        fp, _ = f(xp)
+        xm = x.copy()
+        xm[i] -= h
+        fm, _ = f(xm)
+        if not (np.isfinite(fp) and np.isfinite(fm)):
+            raise FloatingPointError("non-finite loss during gradient check")
+        numeric = (fp - fm) / (2.0 * h)
+        err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]), abs(numeric))
+        worst = max(worst, err)
+    return worst

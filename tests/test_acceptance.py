@@ -14,7 +14,7 @@ import pytest
 from scipy import stats as sps
 
 from aecomm import cli, comm, metrics, nn, train
-from helpers import e2e_loss_fn, qpsk_points
+from helpers import e2e_loss_fn, gradient_check, qpsk_points
 
 
 def report(criterion, detail=""):
@@ -60,7 +60,7 @@ def test_criterion_1_gradient_fidelity():
             if relu_kink_margin(architecture, tx, rx, batch, noise, 1.0) < 1e-3:
                 continue
             f, x0 = e2e_loss_fn(architecture, tx, rx, batch, noise, 1.0)
-            err = nn.gradient_check(f, x0, h=1e-5)
+            err = gradient_check(f, x0, h=1e-5)
             assert err < 1e-5, f"{architecture} M={M} Bs={bs}: rel error {err}"
             worst = max(worst, err)
             done += 1

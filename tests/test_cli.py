@@ -90,6 +90,20 @@ class TestConfigValidation:
         assert cli.main([command, "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
         assert not out.exists()  # no run.json, accuracy.csv or meta, and no empty directory
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [("train", {"snr_db": 4000}), ("train", {"snr_db": -4000}),
+         ("compare", {**COMPARE_SMOKE, "snr_db": 4000}), ("compare", {**COMPARE_SMOKE, "snr_db": -4000}),
+         ("norm-error", {"eb": 1e308, "M_list": [256]})],
+    )
+    def test_finite_value_whose_noise_or_power_overflows_exits_2(self, tmp_path, capsys, command, payload):
+        # 10 ** (-snr_db / 10) leaves the positive floats, and 1e308 * log2(256) is inf
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_rejected_config_removes_only_the_directories_it_made(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"architecture": "magic"})
         out = tmp_path / "new" / "deeper" / "o"
@@ -305,6 +319,26 @@ class TestCompareCommand:
         assert "different config" in capsys.readouterr().err
         assert {name: (out / name).read_bytes() for name in before} == before
 
+    def test_progress_lines_count_remaining_cells(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", COMPARE_SMOKE)
+        assert cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "full"), "--workers", "1"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("compare: cell 1/2 Bs=8 init_seed=0 data_seed=100: ")
+        assert lines[1].startswith("compare: cell 2/2 Bs=16 init_seed=0 data_seed=100: ")
+        assert lines[1].endswith(" s, ETA 0 s")
+        full = (tmp_path / "full" / "accuracy.csv").read_bytes()
+        # resumed after the first cell: only the remaining one is counted
+        part = tmp_path / "part"
+        part.mkdir()
+        (part / "accuracy.csv").write_bytes(b"".join(full.splitlines(keepends=True)[:3]))
+        assert cli.main(["compare", "--config", cfg, "--out", str(part), "--workers", "1"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("compare: cell 1/1 Bs=16 init_seed=0 data_seed=100: ")
+        assert (part / "accuracy.csv").read_bytes() == full
+        assert cli.main(["compare", "--config", cfg, "--out", str(part), "--workers", "1"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_completed_output_untouched(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", COMPARE_SMOKE)
         cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "a"), "--workers", "1"])
@@ -317,6 +351,18 @@ class TestSerCommand:
     def test_missing_run_json_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "s.json", {"run_json": str(tmp_path / "nope.json")})
         assert cli.main(["ser", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("snr_db", [4000, -4000])
+    def test_snr_whose_noise_variance_overflows_exits_2(self, tmp_path, capsys, snr_db):
+        tcfg = write_config(tmp_path, "t.json", {**TRAIN_SMOKE, "data_budget": 640})
+        assert cli.main(["train", "--config", tcfg, "--out", str(tmp_path / "run")]) == 0
+        scfg = write_config(tmp_path, "s.json", {
+            "run_json": str(tmp_path / "run" / "run.json"), "snr_db_list": [0, snr_db], "n_symbols": 100,
+        })
+        out = tmp_path / "o"
+        assert cli.main(["ser", "--config", scfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "noise variance" in capsys.readouterr().err
 
     def test_sweep_on_trained_model(self, tmp_path):
         tcfg = write_config(tmp_path, "t.json", TRAIN_SMOKE)

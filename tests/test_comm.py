@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aecomm import comm, nn
-from helpers import load_constellation_csv, softmax
+from aecomm import comm
+from helpers import gradient_check, load_constellation_csv, softmax
 
 
 def random_matrix(seed, rows=6, cols=2, scale=1.0):
@@ -19,6 +19,11 @@ class TestPowerFromEb:
 
     def test_half_eb(self):
         assert comm.power_from_eb(16, 0.5) == 2.0
+
+    def test_power_overflow_rejected(self):
+        assert comm.power_from_eb(2, 1e308) == 1e308
+        with pytest.raises(ValueError, match="infinite power"):
+            comm.power_from_eb(256, 1e308)
 
     @pytest.mark.parametrize("M", [1, 3, 6, 100])
     def test_non_power_of_two(self, M):
@@ -83,7 +88,7 @@ class TestNormalizeAverageBackward:
             dX = comm.normalize_average_backward(w, X, s, 1.7)
             return float(np.sum(w * out)), dX.ravel()
 
-        assert nn.gradient_check(f, X0.ravel()) < 1e-6
+        assert gradient_check(f, X0.ravel()) < 1e-6
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -138,7 +143,7 @@ class TestGatherBackward:
             dX = comm.normalize_average_backward(dall, X, s, 1.0)
             return float(np.sum(w * sel)), dX.ravel()
 
-        assert nn.gradient_check(f, X0.ravel()) < 1e-6
+        assert gradient_check(f, X0.ravel()) < 1e-6
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -158,6 +163,11 @@ class TestAwgn:
 
     def test_sigma2_from_snr(self):
         assert comm.sigma2_from_snr(1.0, 45.0) == pytest.approx(10 ** -4.5, rel=1e-12)
+
+    @pytest.mark.parametrize("snr_db", [4000, -4000, 10**400, float("nan")])
+    def test_sigma2_outside_positive_floats_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="noise variance"):
+            comm.sigma2_from_snr(1.0, snr_db)
 
     def test_invalid_sigma2(self):
         with pytest.raises(ValueError):

@@ -62,6 +62,59 @@ class TestNormalizationError:
         assert np.allclose(fast, slow, rtol=1e-10, atol=1e-12)
 
 
+class IntegersForbidden:
+    """A generator stand-in whose integers fails: the draw must come from the raw stream."""
+
+    def __init__(self, rng):
+        self.bit_generator = rng.bit_generator
+
+    def integers(self, *args, **kwargs):
+        raise AssertionError("fell back to Generator.integers")
+
+
+_SIZES = st.one_of(st.integers(1, 40), st.tuples(st.integers(1, 7), st.integers(1, 7)))
+
+
+class TestDrawIndices:
+    # a twin generator takes the same ops as the reference, except that each
+    # "draw" goes to _draw_indices where the reference calls integers
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        ops=st.lists(st.one_of(
+            st.tuples(st.just("draw"), st.integers(1, 32).map(lambda e: 1 << e), _SIZES),
+            st.tuples(st.just("integers"), st.integers(1, 300), _SIZES),
+            st.tuples(st.just("normal"), st.integers(1, 5), st.just(None)),
+        ), min_size=1, max_size=12),
+    )
+    def test_equals_integers_and_leaves_the_same_state(self, seed, ops):
+        ref, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for op, M, size in ops:
+            if op == "normal":
+                assert np.array_equal(twin.normal(size=M), ref.normal(size=M))
+                continue
+            want = ref.integers(0, M, size=size)
+            if op == "draw":
+                got = metrics._draw_indices(IntegersForbidden(twin), M, size)
+            else:
+                got = twin.integers(0, M, size=size)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+            np.testing.assert_equal(twin.bit_generator.state, ref.bit_generator.state)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+    @pytest.mark.parametrize("M", [1, 2, 3, 6, 16, 100, 2**32, 2**33])
+    @pytest.mark.parametrize("size", [0, (0, 3), 101, (4, 5)])
+    def test_edge_cases_equal_integers(self, bit_generator, M, size):
+        ref, twin = np.random.Generator(bit_generator(11)), np.random.Generator(bit_generator(11))
+        ref.integers(0, 8, size=3), twin.integers(0, 8, size=3)  # leaves a buffered half
+        want = ref.integers(0, M, size=size)
+        got = metrics._draw_indices(twin, M, size)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        np.testing.assert_equal(twin.bit_generator.state, ref.bit_generator.state)
+
+
 class TestNormErrorExperiment:
     def test_forced_alphabet_copies_control(self):
         tx = random_tx(4, seed=6)

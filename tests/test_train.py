@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from aecomm import comm, nn, train
-from helpers import e2e_loss_fn
+from helpers import e2e_loss_fn, gradient_check
 
 
 def small_config(**kw):
@@ -55,7 +55,7 @@ class TestGradients:
         batch = rng.integers(0, 8, size=6)
         noise = rng.normal(scale=0.05, size=(6, 2))
         f, x0 = e2e_loss_fn(arch, tx, rx, batch, noise, 1.0)
-        assert nn.gradient_check(f, x0) < 1e-5
+        assert gradient_check(f, x0) < 1e-5
 
     def test_unsampled_rows_receive_gradient(self):
         # the normalization coupling pushes gradient to rows outside the batch
@@ -257,6 +257,12 @@ class TestTrainRun:
             small_config(init_seed=-1)
         with pytest.raises(ValueError):
             small_config(power=float("nan"))
+
+    @pytest.mark.parametrize("snr_db, power", [(4000, 1.0), (-4000, 1.0), (-3000, 1e10), (3300, 1e-30)])
+    def test_snr_whose_noise_variance_under_or_overflows_rejected(self, snr_db, power):
+        # finite, but 10 ** (-snr_db / 10) scaled by power leaves the positive floats
+        with pytest.raises(ValueError, match="noise variance"):
+            small_config(snr_db=snr_db, power=power)
 
 
 def run_steps(config, n_steps, ws):
