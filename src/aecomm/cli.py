@@ -151,9 +151,10 @@ def _is_pow2(v):
     return _is_pos_int(v) and v >= 2 and v & (v - 1) == 0
 
 
-def _list_of(check):
-    """Checker for a non-empty JSON list whose items all pass `check`."""
-    return lambda v: isinstance(v, list) and len(v) > 0 and all(check(x) for x in v)
+def _list_of(check, distinct=False):
+    """Checker for a non-empty JSON list whose items all pass `check`; with `distinct`, none repeats."""
+    return lambda v: (isinstance(v, list) and len(v) > 0 and all(check(x) for x in v)
+                      and (not distinct or len(set(v)) == len(v)))
 
 
 # One JSON type checker per TrainConfig field that the train command exposes.
@@ -186,14 +187,14 @@ TRAIN_SCHEMA = {
 COMPARE_SCHEMA = {
     **{key: v for key, v in TRAIN_SCHEMA.items()
        if key not in ("batch_size", "architecture", "init_seed", "data_seed", "noise_seed")},
-    "batch_sizes": (_list_of(_is_int), [16, 32, 64, 128, 256, 512]),
-    "init_seeds": (_list_of(_is_seed), list(range(10))),
-    "data_seeds": (_list_of(_is_seed), list(range(100, 110))),
+    "batch_sizes": (_list_of(_is_int, distinct=True), [16, 32, 64, 128, 256, 512]),
+    "init_seeds": (_list_of(_is_seed, distinct=True), list(range(10))),
+    "data_seeds": (_list_of(_is_seed, distinct=True), list(range(100, 110))),
 }
 
 NORM_ERROR_SCHEMA = {
-    "M_list": (_list_of(_is_pow2), [4, 16, 64, 256]),
-    "batch_sizes": (_list_of(_is_pos_int), [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]),
+    "M_list": (_list_of(_is_pow2, distinct=True), [4, 16, 64, 256]),
+    "batch_sizes": (_list_of(_is_pos_int, distinct=True), [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]),
     "n_inits": (_is_pos_int, 30),
     "n_batches": (_is_pos_int, 1000),
     "eb": (_is_pos_num, 1.0),

@@ -51,7 +51,7 @@ def normalize_average(X: np.ndarray, power: float) -> tuple[np.ndarray, float]:
 
     Returns (X', s) with X' = s * X and s = sqrt(N * power / sum_j |x_j|^2).
     """
-    q = float(np.sum(X * X))
+    q = float(np.add.reduce(X * X, axis=None))
     if q == 0.0:
         raise DegenerateInputError("all-zero input cannot satisfy an average power constraint")
     s = np.sqrt(X.shape[0] * power / q)
@@ -67,8 +67,8 @@ def normalize_average_backward(dXp: np.ndarray, X: np.ndarray, s: float, power: 
     """
     if dXp.shape != X.shape:
         raise ValueError("upstream gradient shape does not match input shape")
-    q = float(np.sum(X * X))
-    inner = float(np.sum(dXp * X))
+    q = float(np.add.reduce(X * X, axis=None))
+    inner = float(np.add.reduce(dXp * X, axis=None))
     return s * (dXp - X * (inner / q))
 
 
@@ -94,7 +94,7 @@ def awgn_noise(shape: tuple[int, ...], sigma2: float, rng: np.random.Generator) 
     """White Gaussian noise with variance sigma2/2 per real component."""
     if sigma2 <= 0:
         raise ValueError("noise variance must be positive")
-    return rng.normal(0.0, np.sqrt(sigma2 / 2.0), size=shape)
+    return rng.normal(0.0, math.sqrt(sigma2 / 2.0), size=shape)
 
 
 def awgn(X: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:

@@ -8,11 +8,11 @@ parameters and gradients into one contiguous vector each, which Adam updates
 in a fixed number of whole-vector operations.
 
 mlp_forward, mlp_backward and softmax_cross_entropy write their per-call
-arrays into a workspace: a plain dict, passed as `ws`, that keeps one array
-per role and shape, so repeated calls on the same shapes allocate nothing.
-An array in a workspace is overwritten by the next call that uses the same
-role, so results taken from one are valid until then. Without a workspace a
-call fills a fresh one, and so returns fresh arrays.
+arrays into a workspace: a plain dict, passed as `ws`, that keeps one entry
+per pass and row count, holding the arrays of every layer, so repeated calls
+allocate nothing. A workspace serves one network. Its arrays are overwritten
+by the next call of the same pass on the same row count, so results taken
+from one are valid until then. Without a workspace a call returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -89,13 +89,14 @@ def build_mlp(layer_sizes: Sequence[int], rng: np.random.Generator) -> Mlp:
     return Mlp(weights, biases, acts)
 
 
-def _buffer(ws: dict, role: tuple, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-    """The array of workspace `ws` for (role, shape), allocated on first use."""
-    key = (role, shape)
-    buf = ws.get(key)
-    if buf is None:
-        buf = ws[key] = np.empty(shape, dtype)
-    return buf
+def _buffers(ws: dict | None, key: tuple, build):
+    """Entry `key` of workspace `ws`, set to build() on first use; build() itself without one."""
+    if ws is None:
+        return build()
+    bufs = ws.get(key)
+    if bufs is None:
+        bufs = ws[key] = build()
+    return bufs
 
 
 def mlp_forward(X: np.ndarray, mlp: Mlp, *, ws: dict | None = None) -> tuple[np.ndarray, list]:
@@ -111,22 +112,24 @@ def mlp_forward(X: np.ndarray, mlp: Mlp, *, ws: dict | None = None) -> tuple[np.
     if X.ndim == 1:
         if X.dtype.kind not in "iu":
             raise ValueError(f"index input has dtype {X.dtype}, expected integers")
-        if X.size and (X.min() < 0 or X.max() >= mlp.in_dim):
+        if X.size and (np.minimum.reduce(X) < 0 or np.maximum.reduce(X) >= mlp.in_dim):
             raise ValueError(f"index input out of range [0, {mlp.in_dim})")
     elif X.ndim != 2 or X.shape[1] != mlp.in_dim:
         raise ValueError(f"input has shape {X.shape}, expected (*, {mlp.in_dim})")
-    ws = {} if ws is None else ws
+    # per layer: the pre-activation Z and, on a ReLU layer, its activation
+    bufs = _buffers(ws, ("forward", len(X)), lambda: [
+        (np.empty((len(X), n)), np.empty((len(X), n)) if act == "relu" else None)
+        for n, act in zip((W.shape[1] for W in mlp.weights), mlp.activations)])
     cache = []
     A = X
-    for k, (W, b, act) in enumerate(zip(mlp.weights, mlp.biases, mlp.activations)):
-        Z = _buffer(ws, ("Z", k), (len(A), W.shape[1]))
+    for W, b, (Z, relu_out) in zip(mlp.weights, mlp.biases, bufs, strict=True):
         if A.ndim == 1:
             np.take(W, A, axis=0, out=Z, mode="clip")  # in range: checked above
         else:
             np.matmul(A, W, out=Z)
         Z += b
         cache.append((A, Z))
-        A = np.maximum(Z, 0.0, out=_buffer(ws, ("A", k), Z.shape)) if act == "relu" else Z
+        A = Z if relu_out is None else np.maximum(Z, 0.0, out=relu_out)
     return A, cache
 
 
@@ -143,42 +146,43 @@ def mlp_backward(
         raise ValueError("cache does not match network depth")
     if dY.shape != (cache[-1][1].shape):
         raise ValueError("dY shape does not match forward output")
-    ws = {} if ws is None else ws
+    # per layer: the ReLU mask and dZ (None if linear), then dA or the flat scatter index
+    bufs = _buffers(ws, ("backward", len(dY), cache[0][0].ndim), lambda: [
+        (*((np.empty(Z.shape, bool), np.empty(Z.shape)) if act == "relu" else (None, None)),
+         np.empty(Z.shape, np.intp) if A_in.ndim == 1 else np.empty((len(Z), A_in.shape[1])))
+        for (A_in, Z), act in zip(cache, mlp.activations)])
     grads = mlp.grads
     dA = dY
     for k in range(len(mlp.weights) - 1, -1, -1):
-        A_in, Z = cache[k]
-        if mlp.activations[k] == "relu":
-            # ReLU subgradient at 0 taken as 0
-            mask = np.greater(Z, 0.0, out=_buffer(ws, ("mask", k), Z.shape, bool))
-            dZ = np.multiply(dA, mask, out=_buffer(ws, ("dZ", k), Z.shape))
-        else:
+        (A_in, Z), (mask, dZ, dA_out) = cache[k], bufs[k]
+        if mask is None:
             dZ = dA
+        else:
+            # ReLU subgradient at 0 taken as 0
+            np.multiply(dA, np.greater(Z, 0.0, out=mask), out=dZ)
         if A_in.ndim == 1:
-            _one_hot_grad(grads[2 * k], A_in, dZ, ws)
+            _one_hot_grad(grads[2 * k], A_in, dZ, dA_out)
             dA = None
         else:
             np.matmul(A_in.T, dZ, out=grads[2 * k])
-            W = mlp.weights[k]
-            dA = np.matmul(dZ, W.T, out=_buffer(ws, ("dA", k), (len(dZ), W.shape[0])))
-        dZ.sum(axis=0, out=grads[2 * k + 1])
+            dA = np.matmul(dZ, mlp.weights[k].T, out=dA_out)
+        np.add.reduce(dZ, axis=0, out=grads[2 * k + 1])
     return dA, grads
 
 
-def _one_hot_grad(out: np.ndarray, idx: np.ndarray, dZ: np.ndarray, ws: dict) -> None:
+def _one_hot_grad(out: np.ndarray, idx: np.ndarray, dZ: np.ndarray, flat: np.ndarray) -> None:
     """out = onehot(idx).T @ dZ: row idx[r] of out receives dZ[r].
 
     Repeated indices are summed in row order. OpenBLAS accumulates the matmul
     in the same order up to a few hundred rows (bit-equal at M=128 for 256
-    rows); past its blocking size the two can differ in the last bit. The
-    flat scatter index lives in the workspace `ws`.
+    rows); past its blocking size the two can differ in the last bit. flat,
+    shaped like dZ, takes the flat scatter index.
     """
-    if idx.size == out.shape[0] and np.all(idx[1:] > idx[:-1]):  # 0..M-1, the whole alphabet
+    if idx.size == out.shape[0] and (idx[1:] > idx[:-1]).all():  # 0..M-1, the whole alphabet
         out[...] = dZ
     else:
         out.fill(0.0)
         n_cols = out.shape[1]
-        flat = _buffer(ws, ("scatter",), dZ.shape, np.intp)
         np.copyto(flat, idx[:, None])  # in intp, so a narrow index dtype cannot wrap
         flat *= n_cols
         flat += np.arange(n_cols)
@@ -197,17 +201,16 @@ def softmax_cross_entropy(
     n, m = logits.shape
     if labels.shape != (n,):
         raise ValueError("labels length must equal number of logit rows")
-    if labels.min() < 0 or labels.max() >= m:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= m:
         raise ValueError("label out of range")
-    ws = {} if ws is None else ws
     # one buffer holds the shifted logits, then their exponentials, then the gradient
-    e = np.subtract(logits, logits.max(axis=1, keepdims=True), out=_buffer(ws, ("softmax",), (n, m)))
-    rows = np.arange(n)
+    e, rows = _buffers(ws, ("softmax", n, m), lambda: (np.empty((n, m)), np.arange(n)))
+    np.subtract(logits, np.maximum.reduce(logits, axis=1, keepdims=True), out=e)
     picked = e[rows, labels]
     np.exp(e, out=e)
-    z = e.sum(axis=1, keepdims=True)
+    z = np.add.reduce(e, axis=1, keepdims=True)
     log_probs = picked - np.log(z[:, 0])
-    loss = float(-log_probs.mean())
+    loss = float(-(np.add.reduce(log_probs, axis=None) / n))  # minus the mean
     e /= z  # softmax(logits)
     e[rows, labels] -= 1.0
     e /= n
@@ -222,7 +225,7 @@ class Adam:
     takes the matching one-item gradient list. Each step is a fixed sequence
     of whole-vector ufuncs into preallocated scratch arrays, in the update
     formula's own evaluation order, so every element rounds as it would in
-    the per-array expression.
+    the per-array expression; once 1 - beta1**t rounds to 1.0, its division is skipped.
     """
 
     params: list[np.ndarray]
@@ -255,9 +258,8 @@ class Adam:
         np.multiply(g, 1.0 - self.beta2, out=u)
         u *= g
         v += u
-        # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
-        np.divide(m, b1t, out=u)
-        u *= self.lr
+        # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps), with m / b1t = m once b1t is 1.0
+        np.multiply(m if b1t == 1.0 else np.divide(m, b1t, out=u), self.lr, out=u)
         np.divide(v, b2t, out=d)
         np.sqrt(d, out=d)
         d += self.epsilon

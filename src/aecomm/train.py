@@ -65,7 +65,8 @@ class TrainConfig:
         for name in ("power", "lr"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        comm.sigma2_from_snr(self.power, self.snr_db)  # an SNR that under- or overflows raises
+        # the noise variance, fixed here; an SNR that under- or overflows raises
+        self.sigma2 = comm.sigma2_from_snr(self.power, self.snr_db)
         if self.noise_seed is None:
             self.noise_seed = self.data_seed
         if min(self.init_seed, self.data_seed, self.noise_seed) < 0:
@@ -74,10 +75,6 @@ class TrainConfig:
         self.rx_hidden = tuple(self.rx_hidden)
         if any(h < 1 for h in self.tx_hidden + self.rx_hidden):
             raise ValueError("hidden layer sizes must be >= 1")
-
-    @property
-    def sigma2(self) -> float:
-        return comm.sigma2_from_snr(self.power, self.snr_db)
 
     @property
     def n_steps(self) -> int:
@@ -107,7 +104,7 @@ def sample_batch(M: int, batch_size: int, rng: np.random.Generator) -> np.ndarra
     """Uniform i.i.d. message indices, with replacement."""
     if M < 1 or batch_size < 1:
         raise ValueError("M and batch_size must be >= 1")
-    # batches are too small for metrics._draw_indices to beat integers
+    # called once per run (train_run), where metrics._draw_indices would save under 1 ms
     return rng.integers(0, M, size=batch_size)
 
 
@@ -126,21 +123,20 @@ def loss_and_grads(
     scope "batch" (baseline) normalizes the batch's transmitter outputs and
     returns those sent symbols. Scope "alphabet" (proposed) normalizes all M
     outputs, gathers the batch rows, and returns the whole constellation.
-    The activations and upstream gradients live in the workspace `ws` (see
-    nn), one sub-workspace per network.
+    The arrays live in the workspace `ws`: per batch size, the alphabet's
+    indices, the received symbols and one sub-workspace per network (see nn).
     """
-    if scope == "batch":
-        tx_in = batch
-    elif scope == "alphabet":
-        tx_in = np.arange(tx.in_dim)
-    else:
+    if scope not in SCOPES.values():
         raise ValueError(f"scope must be one of {tuple(SCOPES.values())}")
     ws = {} if ws is None else ws
-    tx_ws, rx_ws = ws.setdefault("tx", {}), ws.setdefault("rx", {})
-    raw, tx_cache = nn.mlp_forward(tx_in, tx, ws=tx_ws)
+    bufs = ws.get(len(batch))
+    if bufs is None:
+        bufs = ws[len(batch)] = (np.arange(tx.in_dim), np.empty((len(batch), 2)), {}, {})
+    alphabet, received, tx_ws, rx_ws = bufs
+    raw, tx_cache = nn.mlp_forward(batch if scope == "batch" else alphabet, tx, ws=tx_ws)
     symbols, s = comm.normalize_average(raw, power)
     sent = symbols if scope == "batch" else comm.gather(symbols, batch)
-    logits, rx_cache = nn.mlp_forward(sent + noise, rx, ws=rx_ws)
+    logits, rx_cache = nn.mlp_forward(np.add(sent, noise, out=received), rx, ws=rx_ws)
     loss, dlogits = nn.softmax_cross_entropy(logits, batch, ws=ws)
 
     dsent, _ = nn.mlp_backward(dlogits, rx_cache, rx, ws=rx_ws)
@@ -194,17 +190,23 @@ def train_run(config: TrainConfig) -> RunResult:
     loss_curve: list[float] = []
     diverged_at = None
     steps = 0
-    for step in range(config.n_steps):
-        batch = sample_batch(config.M, config.batch_size, data_rng)
-        loss = train_step(tx, rx, optimizer, grads, batch, noise_rng, config, ws=ws)
-        loss_curve.append(loss)
-        steps = step + 1
-        if not np.isfinite(loss):
-            diverged_at = step
-            break
-
-    raw, _ = nn.mlp_forward(np.arange(config.M), tx)
-    constellation, _ = comm.normalize_average(raw, config.power)
+    # one draw for all batches; at a power-of-2 M it equals one draw per step, state included
+    batches = sample_batch(config.M, config.n_steps * config.batch_size, data_rng)
+    try:
+        for step, batch in enumerate(batches.reshape(config.n_steps, config.batch_size)):
+            loss = train_step(tx, rx, optimizer, grads, batch, noise_rng, config, ws=ws)
+            loss_curve.append(loss)
+            steps = step + 1
+            if not math.isfinite(loss):
+                diverged_at = step
+                break
+        raw, _ = nn.mlp_forward(np.arange(config.M), tx)
+        constellation, _ = comm.normalize_average(raw, config.power)
+    except comm.DegenerateInputError as exc:  # a transmitter whose outputs are all zero
+        raise comm.DegenerateInputError(
+            f"{config.architecture} run at Bs={config.batch_size}, init_seed={config.init_seed},"
+            f" data_seed={config.data_seed}, noise_seed={config.noise_seed}, step {steps}: {exc}"
+        ) from exc
     return RunResult(config, loss_curve, tx, rx, constellation, steps, diverged_at)
 
 

@@ -104,6 +104,41 @@ class TestConfigValidation:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [("compare", {**COMPARE_SMOKE, "batch_sizes": [16, 16]}),
+         ("compare", {**COMPARE_SMOKE, "init_seeds": [0, 1, 0]}),
+         ("compare", {**COMPARE_SMOKE, "data_seeds": [100, 100]}),
+         ("norm-error", {"M_list": [4, 16, 4]}),
+         ("norm-error", {"batch_sizes": [4, 8, 8]})],
+    )
+    def test_duplicate_list_entry_exits_2(self, tmp_path, capsys, command, payload):
+        # a repeated batch size, seed or alphabet size would compute one cell twice
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
+        assert not out.exists()
+        (key,) = (k for k, v in payload.items() if isinstance(v, list) and len(set(v)) < len(v))
+        assert capsys.readouterr().err.startswith(f"error: invalid value for {key!r}")
+
+    def test_dead_transmitter_failure_names_the_run(self, tmp_path, capsys):
+        # init_seed 25 gives this one-unit transmitter an all-zero output at init
+        dead = {"M": 4, "tx_hidden": [1], "rx_hidden": [2], "data_budget": 640}
+        cfg = write_config(tmp_path, "t.json", {**dead, "init_seed": 25})
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 1
+        assert capsys.readouterr().err == (
+            "failure: proposed run at Bs=64, init_seed=25, data_seed=0, noise_seed=0, step 0:"
+            " all-zero input cannot satisfy an average power constraint\n")
+        assert not any((tmp_path / "t").iterdir())
+        cfg = write_config(tmp_path, "c.json", {**dead, "batch_sizes": [64], "init_seeds": [24, 25, 26],
+                                                "data_seeds": [1]})
+        assert cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "c"), "--workers", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("compare: cell 1/3 Bs=64 init_seed=24 data_seed=1: ")
+        assert err[1:] == ["failure: baseline run at Bs=64, init_seed=25, data_seed=1, noise_seed=1, step 0:"
+                           " all-zero input cannot satisfy an average power constraint"]
+        assert len((tmp_path / "c" / "accuracy.csv").read_text().splitlines()) == 1 + 2  # cell 1 only
+
     def test_rejected_config_removes_only_the_directories_it_made(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"architecture": "magic"})
         out = tmp_path / "new" / "deeper" / "o"

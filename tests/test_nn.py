@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aecomm import nn
@@ -238,11 +238,14 @@ class TestSoftmaxCrossEntropy:
             nn.softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
 
-def reference_adam(params, grad_steps, lr, beta1, beta2, epsilon):
-    """Adam over a list of arrays, one array at a time (the per-array formula)."""
+def reference_adam(params, grad_steps, lr, beta1, beta2, epsilon, t0=0):
+    """Adam over a list of arrays, one array at a time (the per-array formula).
+
+    The moments start at zero and the first step is step t0 + 1.
+    """
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
-    for t, grads in enumerate(grad_steps, start=1):
+    for t, grads in enumerate(grad_steps, start=t0 + 1):
         b1t = 1.0 - beta1**t
         b2t = 1.0 - beta2**t
         for p, g, mi, vi in zip(params, grads, m, v):
@@ -315,18 +318,23 @@ class TestAdam:
         n_steps=st.integers(1, 8),
         lr=st.sampled_from([0.001, 0.008, 0.02, 0.3]),
         betas=st.sampled_from([(0.9, 0.999), (0.5, 0.9), (0.0, 0.0)]),
+        t0=st.sampled_from([0, 350]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_flat_step_matches_per_array_formula(self, shapes, n_steps, lr, betas, seed):
+    # at beta1 = 0.9, 1 - beta1**t first rounds to 1.0 at t = 356, where the
+    # flat step stops dividing by it; these steps t = 351..358 cross that point
+    @example(shapes=[(5, 3), (3,), (7,)], n_steps=8, lr=0.008, betas=(0.9, 0.999), t0=350, seed=0)
+    @example(shapes=[(4,), (2, 6)], n_steps=8, lr=0.3, betas=(0.9, 0.9), t0=350, seed=1)
+    def test_flat_step_matches_per_array_formula(self, shapes, n_steps, lr, betas, t0, seed):
         rng = np.random.default_rng(seed)
         ref = [rng.normal(size=s) for s in shapes]
         flat = np.concatenate([p.ravel() for p in ref])
         grad_steps = [
             [rng.normal(size=s) * 10.0 ** rng.uniform(-6, 3) for s in shapes] for _ in range(n_steps)
         ]
-        reference_adam(ref, grad_steps, lr, *betas, 1e-8)
+        reference_adam(ref, grad_steps, lr, *betas, 1e-8, t0=t0)
 
-        opt = nn.Adam([flat], lr=lr, beta1=betas[0], beta2=betas[1], epsilon=1e-8)
+        opt = nn.Adam([flat], lr=lr, beta1=betas[0], beta2=betas[1], epsilon=1e-8, t=t0)
         for grads in grad_steps:
             opt.step([np.concatenate([g.ravel() for g in grads])])
         assert np.array_equal(flat, np.concatenate([p.ravel() for p in ref]))

@@ -1,3 +1,4 @@
+import collections
 import tracemalloc
 
 import numpy as np
@@ -232,6 +233,16 @@ class TestTrainRun:
         for g in tx.grads + rx.grads:
             assert np.shares_memory(g, grads)
 
+    @pytest.mark.parametrize("architecture", train.ARCHITECTURES)
+    def test_dead_transmitter_failure_names_the_run(self, architecture):
+        # init_seed 25 gives this one-unit transmitter an all-zero output at init
+        config = small_config(tx_hidden=(1,), rx_hidden=(2,), init_seed=25, architecture=architecture)
+        with pytest.raises(comm.DegenerateInputError) as info:
+            train.train_run(config)
+        assert str(info.value) == (
+            f"{architecture} run at Bs=8, init_seed=25, data_seed=2, noise_seed=3, step 0:"
+            " all-zero input cannot satisfy an average power constraint")
+
     @pytest.mark.parametrize("scope", ["bogus", "baseline"])
     def test_unknown_scope_rejected(self, scope):
         rng = np.random.default_rng(0)
@@ -353,3 +364,65 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak - start < 256 * 1024
+
+
+# The functions the benchmark's tracer (perfbench/tracer.py) replaces by
+# module attribute, and the position of the Mlp argument it reads to tell
+# the transmitter's pass from the receiver's. A step that reached them some
+# other way would vanish from the per-layer trace.
+TRACED = {
+    train: ("train_step", "sample_batch"),
+    nn: ("mlp_forward", "mlp_backward", "softmax_cross_entropy"),
+    comm: ("gather", "gather_backward", "normalize_average", "normalize_average_backward", "awgn"),
+}
+MLP_ARG = {"mlp_forward": 1, "mlp_backward": 2}
+
+
+class TestTracerVisibility:
+    @staticmethod
+    def install_counters(monkeypatch):
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            pos = MLP_ARG.get(name.split(".")[1])
+
+            def wrapper(*args, **kwargs):
+                if pos is None:
+                    counts[name] += 1
+                else:
+                    assert isinstance(args[pos], nn.Mlp)
+                    counts[f"{name}.{'rx' if args[pos].in_dim == 2 else 'tx'}"] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, names in TRACED.items():
+            for attr in names:
+                name = f"{module.__name__.rsplit('.', 1)[-1]}.{attr}"
+                monkeypatch.setattr(module, attr, counting(name, getattr(module, attr)))
+        monkeypatch.setattr(nn.Adam, "step", counting("nn.Adam.step", nn.Adam.step))
+        return counts
+
+    @pytest.mark.parametrize("architecture", train.ARCHITECTURES)
+    def test_per_step_calls(self, monkeypatch, architecture):
+        counts = self.install_counters(monkeypatch)
+        runs = []
+        for n_steps in (2, 3):
+            counts.clear()
+            train.train_run(small_config(architecture=architecture, data_budget=8 * n_steps))
+            runs.append(dict(counts))
+        per_step = {
+            "train.train_step": 1,
+            "nn.mlp_forward.tx": 1, "nn.mlp_forward.rx": 1,
+            "nn.softmax_cross_entropy": 1,
+            "nn.mlp_backward.rx": 1, "nn.mlp_backward.tx": 1,
+            "comm.normalize_average": 1, "comm.normalize_average_backward": 1,
+            "nn.Adam.step": 1,
+        }
+        if architecture == "proposed":
+            per_step.update({"comm.gather": 1, "comm.gather_backward": 1})
+        # one draw gives the run's batches, and its last transmitter pass and
+        # normalization give its constellation
+        once = {"train.sample_batch": 1, "nn.mlp_forward.tx": 1, "comm.normalize_average": 1}
+        for n_steps, got in zip((2, 3), runs):
+            assert got == {name: per_step.get(name, 0) * n_steps + once.get(name, 0)
+                           for name in per_step.keys() | once.keys()}
