@@ -230,8 +230,7 @@ def _train_and_score(config: train.TrainConfig, cfg: dict) -> tuple[train.RunRes
     result = train.train_run(config)
     rng = np.random.default_rng(cfg["val_seed"])
     accuracy = metrics.validation_accuracy(
-        result.tx, result.rx, config.power, config.sigma2,
-        cfg["val_batches"], cfg["val_batch_size"], rng,
+        result.constellation, result.rx, config.sigma2, cfg["val_batches"], cfg["val_batch_size"], rng
     )
     return result, accuracy
 
@@ -382,8 +381,11 @@ def cmd_ser(cfg: dict, out_dir: Path, workers: int) -> None:
             comm.sigma2_from_snr(power, snr_db)
     points = np.asarray(doc["constellation"], dtype=float)
     rx = train.mlp_from_dict(doc["rx"])
+    # a diverged run stores its non-finite values as null, which load as nan
+    if not all(np.isfinite(a).all() for a in (points, *rx.weights, *rx.biases)):
+        raise RuntimeError(f"{run_path}: the constellation or receiver is not finite (a diverged run)")
     rng = np.random.default_rng(cfg["seed"])
-    rows = metrics.ser_sweep(points, rx, cfg["snr_db_list"], cfg["n_symbols"], rng, power=power)
+    rows = metrics.ser_sweep(points, rx, cfg["snr_db_list"], cfg["n_symbols"], rng, power)
     with open(out_dir / "ser.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["snr_db", "ser", "ci_lo", "ci_hi"])

@@ -58,7 +58,7 @@ def normalize_average(X: np.ndarray, power: float) -> tuple[np.ndarray, float]:
     return s * X, s
 
 
-def normalize_average_backward(dXp: np.ndarray, X: np.ndarray, s: float, power: float) -> np.ndarray:
+def normalize_average_backward(dXp: np.ndarray, X: np.ndarray, s: float) -> np.ndarray:
     """Gradient of the average-power normalization X' = s(X) * X.
 
     dX_j = s * (dX'_j - x_j * sum_i <dX'_i, x_i> / Q) with Q = sum |x_k|^2.

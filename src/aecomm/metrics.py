@@ -62,7 +62,6 @@ def _draw_indices(rng: np.random.Generator, M: int, size) -> np.ndarray:
 class NormErrorStats:
     M: int
     batch_size: int
-    eb: float
     mean_error: float  # nan when nothing was left to average
     std_error: float  # standard error of the mean over initializations
     n_inits: int  # initializations averaged
@@ -161,25 +160,26 @@ def norm_error_experiment(
             mean = float(col.mean()) if k else float("nan")
             stderr = col.std(ddof=1) / np.sqrt(k) if k > 1 else 0.0
             stats.append(NormErrorStats(
-                M, bs, eb, mean, float(stderr), k, int(kept[:, j].sum()),
+                M, bs, mean, float(stderr), k, int(kept[:, j].sum()),
                 dead_inits=dead, zero_batches=int((n_inits - dead) * n_batches - kept[:, j].sum()),
             ))
     return stats
 
 
 def validation_accuracy(
-    tx: nn.Mlp,
+    points: np.ndarray,
     rx: nn.Mlp,
-    power: float,
     sigma2: float,
     n_batches: int,
     batch_size: int,
     rng: np.random.Generator,
 ) -> float:
-    """Categorical accuracy on alphabet-normalized symbols (zero normalization error)."""
-    M = tx.in_dim
-    raw, _ = nn.mlp_forward(np.arange(M), tx)
-    points, _ = comm.normalize_average(raw, power)
+    """Categorical accuracy of rx on the alphabet-normalized constellation `points`.
+
+    The sent symbols are the deployed constellation itself, so the set has zero
+    normalization error.
+    """
+    M = points.shape[0]
     correct = 0
     ws = {}  # every batch has the same shape, so only the first pass allocates
     for _ in range(n_batches):
@@ -205,37 +205,20 @@ def wilson_interval(errors: int, n: int) -> tuple[float, float]:
 
 def ser_sweep(
     points: np.ndarray,
-    rx: nn.Mlp | None,
+    rx: nn.Mlp,
     snr_db_list: list[float],
     n_symbols: int,
     rng: np.random.Generator,
-    power: float | None = None,
+    power: float,
 ) -> list[tuple[float, float, float, float]]:
-    """Monte-Carlo symbol error rate per SNR point, with 95% Wilson CI.
+    """Monte-Carlo symbol error rate of rx on `points` per SNR point, with 95% Wilson CI.
 
-    Decodes with the receiver network when given, else by minimum distance to
-    the constellation. Power defaults to the constellation's mean row power.
     Each point's labels and noise are drawn whole; the decode runs in blocks
     of rows whose widest per-row array keeps a block within _BLOCK elements,
     and every block has the same number of rows.
     """
-    if power is None:
-        power = float(np.mean(np.sum(points * points, axis=1)))
-    if rx is not None:
-        ws = {}
-
-        def decide(y):
-            logits, _ = nn.mlp_forward(y, rx, ws=ws)
-            return comm.decode(logits)
-
-        width = max(W.shape[1] for W in rx.weights)
-    else:
-        def decide(y):
-            d2 = ((y[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-            return np.argmin(d2, axis=1)
-
-        width = points.size
-    block = max(1, _BLOCK // width)
+    ws = {}
+    block = max(1, _BLOCK // max(W.shape[1] for W in rx.weights))
     rows = []
     for snr_db in snr_db_list:
         sigma2 = comm.sigma2_from_snr(power, snr_db)
@@ -246,7 +229,8 @@ def ser_sweep(
             # a partial last block is decoded as the last full window, and only
             # its new rows count: a pass's last bits depend on its row count
             lo = max(0, min(a, n_symbols - block))
-            wrong = decide(y[lo:a + block]) != labels[lo:a + block]
+            logits, _ = nn.mlp_forward(y[lo:a + block], rx, ws=ws)
+            wrong = comm.decode(logits) != labels[lo:a + block]
             errors += int(np.count_nonzero(wrong[a - lo:]))
         lo, hi = wilson_interval(errors, n_symbols)
         rows.append((float(snr_db), errors / n_symbols, lo, hi))

@@ -141,7 +141,7 @@ def loss_and_grads(
 
     dsent, _ = nn.mlp_backward(dlogits, rx_cache, rx, ws=rx_ws)
     dsymbols = dsent if scope == "batch" else comm.gather_backward(dsent, batch, len(symbols))
-    draw = comm.normalize_average_backward(dsymbols, raw, s, power)
+    draw = comm.normalize_average_backward(dsymbols, raw, s)
     nn.mlp_backward(draw, tx_cache, tx, ws=tx_ws)
     return loss, symbols
 

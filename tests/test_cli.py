@@ -25,6 +25,10 @@ TRAIN_SMOKE = {
     "val_batch_size": 500,
 }
 
+# a huge learning rate overflows the weights within a few steps
+TRAIN_DIVERGED = {**TRAIN_SMOKE, "batch_size": 8, "data_budget": 80, "lr": 1e100,
+                  "val_batches": 1, "val_batch_size": 10}
+
 COMPARE_SMOKE = {
     "M": 4,
     "batch_sizes": [8, 16],
@@ -269,10 +273,8 @@ class TestTrainCommand:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_diverged_run_writes_strict_json(self, tmp_path):
-        # a huge learning rate overflows the weights within a few steps; the
-        # non-finite loss, constellation and weights become null
-        cfg = write_config(tmp_path, "t.json", {**TRAIN_SMOKE, "batch_size": 8, "data_budget": 80,
-                                                "lr": 1e100, "val_batches": 1, "val_batch_size": 10})
+        # the non-finite loss, constellation and weights become null
+        cfg = write_config(tmp_path, "t.json", TRAIN_DIVERGED)
         with np.errstate(all="ignore"):
             assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
@@ -398,6 +400,17 @@ class TestSerCommand:
         assert cli.main(["ser", "--config", scfg, "--out", str(out)]) == 2
         assert not out.exists()
         assert "noise variance" in capsys.readouterr().err
+
+    def test_diverged_run_exits_1_without_csv(self, tmp_path, capsys):
+        # its nulls load as nan, and argmax would decode nan logits as index 0
+        tcfg = write_config(tmp_path, "t.json", TRAIN_DIVERGED)
+        with np.errstate(all="ignore"):
+            assert cli.main(["train", "--config", tcfg, "--out", str(tmp_path / "run")]) == 0
+        scfg = write_config(tmp_path, "s.json",
+                            {"run_json": str(tmp_path / "run" / "run.json"), "n_symbols": 100})
+        assert cli.main(["ser", "--config", scfg, "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o" / "ser.csv").exists()
+        assert "failure:" in capsys.readouterr().err
 
     def test_sweep_on_trained_model(self, tmp_path):
         tcfg = write_config(tmp_path, "t.json", TRAIN_SMOKE)

@@ -68,14 +68,14 @@ class TestNormalizeAverageBackward:
     def test_zero_upstream(self):
         X = random_matrix(2)
         _, s = comm.normalize_average(X, 1.0)
-        dX = comm.normalize_average_backward(np.zeros_like(X), X, s, 1.0)
+        dX = comm.normalize_average_backward(np.zeros_like(X), X, s)
         assert np.array_equal(dX, np.zeros_like(X))
 
     def test_aggregate_orthogonal_passthrough(self):
         # s = 1 and sum_i <dX'_i, x_i> = 0  =>  dX = dX'
         X = np.array([[1.0, 0.0], [0.0, 1.0]])  # Q = N*P with P = 1
         dXp = np.array([[0.0, 2.0], [3.0, 0.0]])  # row-wise orthogonal to X
-        dX = comm.normalize_average_backward(dXp, X, 1.0, 1.0)
+        dX = comm.normalize_average_backward(dXp, X, 1.0)
         assert np.allclose(dX, dXp, atol=1e-15)
 
     def test_matches_finite_differences(self):
@@ -85,14 +85,14 @@ class TestNormalizeAverageBackward:
         def f(vec):
             X = vec.reshape(X0.shape)
             out, s = comm.normalize_average(X, 1.7)
-            dX = comm.normalize_average_backward(w, X, s, 1.7)
+            dX = comm.normalize_average_backward(w, X, s)
             return float(np.sum(w * out)), dX.ravel()
 
         assert gradient_check(f, X0.ravel()) < 1e-6
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            comm.normalize_average_backward(np.zeros((2, 2)), np.ones((3, 2)), 1.0, 1.0)
+            comm.normalize_average_backward(np.zeros((2, 2)), np.ones((3, 2)), 1.0)
 
 
 class TestGather:
@@ -140,7 +140,7 @@ class TestGatherBackward:
             out, s = comm.normalize_average(X, 1.0)
             sel = comm.gather(out, idx)
             dall = comm.gather_backward(w, idx, 5)
-            dX = comm.normalize_average_backward(dall, X, s, 1.0)
+            dX = comm.normalize_average_backward(dall, X, s)
             return float(np.sum(w * sel)), dX.ravel()
 
         assert gradient_check(f, X0.ravel()) < 1e-6

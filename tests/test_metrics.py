@@ -21,6 +21,17 @@ def random_tx(M, seed, hidden=(20,)):
     return nn.build_mlp([M, *hidden, 2], np.random.default_rng(seed))
 
 
+def alphabet_points(tx):
+    """tx's alphabet output normalized to power 1 over the alphabet: the constellation train_run returns."""
+    points, _ = comm.normalize_average(nn.mlp_forward(np.arange(tx.in_dim), tx)[0], 1.0)
+    return points
+
+
+def matched_filter(points):
+    """Linear receiver with logits y @ points^T: ML, and minimum-distance, for equal-energy points."""
+    return nn.Mlp([points.T.copy()], [np.zeros(len(points))], ["linear"])
+
+
 class TestNormalizationError:
     def test_full_alphabet_batch_is_zero(self):
         tx = random_tx(8, seed=0)
@@ -225,10 +236,8 @@ def stats_key(stats):
 class TestValidationAccuracy:
     def test_noiseless_separable_is_perfect(self):
         points = qpsk_points()
-        tx = tx_with_outputs(points)
-        # matched-filter receiver: logits = y @ points^T is ML for equal-energy points
-        rx = nn.Mlp([points.T.copy()], [np.zeros(4)], ["linear"])
-        acc = metrics.validation_accuracy(tx, rx, 1.0, 1e-10, 5, 200, np.random.default_rng(0))
+        acc = metrics.validation_accuracy(points, matched_filter(points), 1e-10, 5, 200,
+                                          np.random.default_rng(0))
         assert acc == 1.0
 
     def test_untrained_receiver_is_chance_level(self):
@@ -239,7 +248,7 @@ class TestValidationAccuracy:
             rx = nn.build_mlp([2, 100, 100, 128], rng)
             accs.append(
                 metrics.validation_accuracy(
-                    tx, rx, 1.0, 10**-4.5, 5, 200, np.random.default_rng(seed + 999)
+                    alphabet_points(tx), rx, 10**-4.5, 5, 200, np.random.default_rng(seed + 999)
                 )
             )
         p = 1 / 128
@@ -248,27 +257,26 @@ class TestValidationAccuracy:
 
     def test_seed_invariance_within_stderr(self):
         rng = np.random.default_rng(10)
-        tx = nn.build_mlp([16, 30, 2], rng)
+        points = alphabet_points(nn.build_mlp([16, 30, 2], rng))
         rx = nn.build_mlp([2, 30, 16], rng)
         n = 30 * 1000
-        a1 = metrics.validation_accuracy(tx, rx, 1.0, 0.05, 30, 1000, np.random.default_rng(1))
-        a2 = metrics.validation_accuracy(tx, rx, 1.0, 0.05, 30, 1000, np.random.default_rng(2))
+        a1 = metrics.validation_accuracy(points, rx, 0.05, 30, 1000, np.random.default_rng(1))
+        a2 = metrics.validation_accuracy(points, rx, 0.05, 30, 1000, np.random.default_rng(2))
         stderr = np.sqrt(a1 * (1 - a1) / n)
         assert abs(a1 - a2) < 3 * np.sqrt(2) * stderr
 
     def test_range(self):
         rng = np.random.default_rng(11)
-        tx = nn.build_mlp([4, 8, 2], rng)
+        points = alphabet_points(nn.build_mlp([4, 8, 2], rng))
         rx = nn.build_mlp([2, 8, 4], rng)
-        acc = metrics.validation_accuracy(tx, rx, 1.0, 0.5, 3, 100, np.random.default_rng(3))
+        acc = metrics.validation_accuracy(points, rx, 0.5, 3, 100, np.random.default_rng(3))
         assert 0.0 <= acc <= 1.0
 
     def test_equals_fresh_arrays_per_batch(self):
         rng = np.random.default_rng(12)
-        tx = nn.build_mlp([16, 20, 2], rng)
+        points = alphabet_points(nn.build_mlp([16, 20, 2], rng))
         rx = nn.build_mlp([2, 20, 16], rng)
-        acc = metrics.validation_accuracy(tx, rx, 1.0, 0.3, 4, 250, np.random.default_rng(4))
-        points, _ = comm.normalize_average(nn.mlp_forward(np.arange(16), tx)[0], 1.0)
+        acc = metrics.validation_accuracy(points, rx, 0.3, 4, 250, np.random.default_rng(4))
         data = np.random.default_rng(4)
         correct = 0
         for _ in range(4):
@@ -286,15 +294,17 @@ def qpsk_ser_closed_form(snr_db):
 
 class TestSerSweep:
     def test_qpsk_min_distance_matches_closed_form(self):
+        points = qpsk_points()
         rows = metrics.ser_sweep(
-            qpsk_points(), None, [4.0, 8.0, 12.0], 200000, np.random.default_rng(5), power=1.0
+            points, matched_filter(points), [4.0, 8.0, 12.0], 200000, np.random.default_rng(5), power=1.0
         )
         for snr_db, ser, lo, hi in rows:
             assert lo <= qpsk_ser_closed_form(snr_db) <= hi
 
     def test_monotone_nonincreasing_within_ci(self):
+        points = qpsk_points()
         rows = metrics.ser_sweep(
-            qpsk_points(), None, [0, 4, 8, 12, 16, 20], 50000, np.random.default_rng(6), power=1.0
+            points, matched_filter(points), [0, 4, 8, 12, 16, 20], 50000, np.random.default_rng(6), power=1.0
         )
         sers = [r[1] for r in rows]
         widths = [r[3] - r[2] for r in rows]
@@ -302,16 +312,17 @@ class TestSerSweep:
             assert sers[k + 1] <= sers[k] + widths[k]
 
     def test_high_snr_separable_goes_to_zero(self):
-        rows = metrics.ser_sweep(qpsk_points(), None, [30.0], 20000, np.random.default_rng(7))
+        points = qpsk_points()
+        rows = metrics.ser_sweep(points, matched_filter(points), [30.0], 20000, np.random.default_rng(7), 1.0)
         assert rows[0][1] == 0.0
 
     @pytest.mark.parametrize("n_symbols", [300, 1234, 5000])
-    @pytest.mark.parametrize("decoder", ["rx", "min-distance"])
+    @pytest.mark.parametrize("decoder", ["rx", "matched-filter"])
     def test_blocked_decode_equals_full_array(self, decoder, n_symbols):
-        # 300 rows is below one block for both decoders; 1234 and 5000 end in a partial block
+        # 300 rows is below one block for both receivers; 1234 and 5000 end in a partial block
         rng = np.random.default_rng(13)
         points, _ = comm.normalize_average(rng.normal(size=(128, 2)), 1.0)
-        rx = nn.build_mlp([2, 100, 100, 128], rng) if decoder == "rx" else None
+        rx = nn.build_mlp([2, 100, 100, 128], rng) if decoder == "rx" else matched_filter(points)
         snrs = [0.0, 10.0, 30.0]
         blocked = metrics.ser_sweep(points, rx, snrs, n_symbols, np.random.default_rng(14), power=1.0)
         full = full_array_ser(points, rx, snrs, n_symbols, np.random.default_rng(14), power=1.0)
@@ -335,11 +346,11 @@ class TestSerSweep:
             metrics.ser_sweep(points, rx, [0.0, 10.0], 3 * block + 7, np.random.default_rng(18), power=1.0)
         assert rows == [block] * 8
 
-    @pytest.mark.parametrize("decoder", ["rx", "min-distance"])
+    @pytest.mark.parametrize("decoder", ["rx", "matched-filter"])
     def test_memory_bounded_by_block(self, decoder):
         rng = np.random.default_rng(15)
         points, _ = comm.normalize_average(rng.normal(size=(128, 2)), 1.0)
-        rx = nn.build_mlp([2, 100, 100, 128], rng) if decoder == "rx" else None
+        rx = nn.build_mlp([2, 100, 100, 128], rng) if decoder == "rx" else matched_filter(points)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -365,11 +376,7 @@ def full_array_ser(points, rx, snr_db_list, n_symbols, rng, power):
         sigma2 = comm.sigma2_from_snr(power, snr_db)
         labels = rng.integers(0, points.shape[0], size=n_symbols)
         y = comm.awgn(comm.gather(points, labels), sigma2, rng)
-        if rx is not None:
-            decided = comm.decode(nn.mlp_forward(y, rx)[0])
-        else:
-            decided = np.argmin(((y[:, None, :] - points[None, :, :]) ** 2).sum(axis=2), axis=1)
-        errors = int(np.count_nonzero(decided != labels))
+        errors = int(np.count_nonzero(comm.decode(nn.mlp_forward(y, rx)[0]) != labels))
         lo, hi = metrics.wilson_interval(errors, n_symbols)
         rows.append((float(snr_db), errors / n_symbols, lo, hi))
     return rows

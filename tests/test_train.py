@@ -73,7 +73,7 @@ class TestGradients:
         _, dlogits = nn.softmax_cross_entropy(logits, batch)
         dy, _ = nn.mlp_backward(dlogits, rx_cache, rx)
         dpoints = comm.gather_backward(dy, batch, 8)
-        draw = comm.normalize_average_backward(dpoints, raw, s, 1.0)
+        draw = comm.normalize_average_backward(dpoints, raw, s)
 
         assert np.all(dpoints[3:] == 0.0)
         assert np.all(np.linalg.norm(draw[3:], axis=1) > 0.0)
@@ -197,6 +197,18 @@ class TestTrainRun:
         result = train.train_run(small_config())
         power = np.mean(np.sum(result.constellation ** 2, axis=1))
         assert power == pytest.approx(1.0, rel=1e-12)
+        # the instruments decode the constellation in place of the transmitter, so
+        # it must be tx's alphabet normalized at the run's power, bit for bit, also
+        # after a divergence (a huge lr overflows the weights within a few steps)
+        for arch in train.ARCHITECTURES:
+            for config in (small_config(architecture=arch, power=2.5),
+                           small_config(architecture=arch, lr=1e100, data_budget=80)):
+                with np.errstate(all="ignore"):
+                    result = train.train_run(config)
+                    raw, _ = nn.mlp_forward(np.arange(config.M), result.tx)
+                    expected, _ = comm.normalize_average(raw, config.power)
+                assert (result.diverged_at is None) == (config.lr < 1)
+                assert np.array_equal(result.constellation, expected, equal_nan=True)
 
     def test_loss_finite_throughout(self):
         result = train.train_run(small_config(data_budget=8 * 50))
