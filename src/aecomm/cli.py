@@ -235,17 +235,17 @@ def _train_and_score(config: train.TrainConfig, cfg: dict) -> tuple[train.RunRes
     return result, accuracy
 
 
-def _compare_cell(args) -> tuple[list[tuple[str, int, int, int, float]], float]:
-    """Both architectures' rows of one (Bs, init_seed, data_seed) cell, and its wall seconds."""
+def _compare_cell(args) -> tuple[list[float], float]:
+    """Both architectures' accuracies of one (Bs, init_seed, data_seed) cell, and its wall seconds."""
     cfg, batch_size, init_seed, data_seed = args
     start = time.perf_counter()
-    rows = []
+    accuracies = []
     for arch in train.ARCHITECTURES:
         config = _train_config(
             cfg, architecture=arch, batch_size=batch_size, init_seed=init_seed, data_seed=data_seed
         )
-        rows.append((arch, batch_size, init_seed, data_seed, _train_and_score(config, cfg)[1]))
-    return rows, time.perf_counter() - start
+        accuracies.append(_train_and_score(config, cfg)[1])
+    return accuracies, time.perf_counter() - start
 
 
 def cmd_norm_error(cfg: dict, out_dir: Path, workers: int) -> None:
@@ -279,36 +279,43 @@ def cmd_norm_error(cfg: dict, out_dir: Path, workers: int) -> None:
     _write_meta(out_dir, "norm_error", cfg)
 
 
-def _resume(out_path: Path) -> set[tuple[int, int, int]]:
-    """(Bs, init_seed, data_seed) cells complete in accuracy.csv; cuts the file after the last.
+_ACCURACY_HEADER = b"arch,Bs,init_seed,data_seed,accuracy\r\n"
 
-    Each cell appends its rows for both architectures at once, so only the
-    tail can hold a torn line or half a cell. Cutting that tail makes the
-    resumed file equal to an uninterrupted run's. Rows that do not parse
-    count as not done.
+
+def _accuracy_row(key: bytes, accuracy: float) -> bytes:
+    """The accuracy.csv line of `key` ("arch,Bs,init_seed,data_seed,")."""
+    return key + f"{accuracy:.17g}\r\n".encode()
+
+
+def _is_accuracy_row(line: bytes, key: bytes) -> bool:
+    """Whether `line` is the line _accuracy_row writes for `key` and a finite accuracy."""
+    try:
+        accuracy = float(line[len(key):-2])
+    except ValueError:
+        return False
+    return math.isfinite(accuracy) and line == _accuracy_row(key, accuracy)
+
+
+def _resume(out_path: Path, keys: list[list[bytes]]) -> int:
+    """How many leading cells accuracy.csv holds whole; keys[c] are cell c's row keys.
+
+    compare writes the header, then each cell's rows at once in cell order, so
+    an interrupted run leaves the header and a prefix of the rows an
+    uninterrupted run writes. This keeps the header and the longest run of
+    whole cells that match their keys, and cuts everything after them: a torn
+    or stray line, a half cell, rows out of place. A file without the header
+    is restarted from the header.
     """
-    if not out_path.exists():
-        return set()
-    lines = out_path.read_bytes().splitlines(keepends=True)
-    seen, done = set(), set()
-    end = pos = 0
-    for i, line in enumerate(lines):
-        pos += len(line)
-        if not line.endswith(b"\n"):
+    lines = out_path.read_bytes().splitlines(keepends=True) if out_path.exists() else []
+    if lines[:1] != [_ACCURACY_HEADER]:
+        out_path.write_bytes(_ACCURACY_HEADER)
+        return 0
+    rows, done, end = iter(lines[1:]), 0, len(_ACCURACY_HEADER)
+    for cell_keys in keys:
+        cell = [next(rows, b"") for _ in cell_keys]
+        if not all(_is_accuracy_row(line, key) for line, key in zip(cell, cell_keys)):
             break
-        if i == 0:  # the header
-            end = pos
-            continue
-        try:
-            arch, bs, init_seed, data_seed, accuracy = line.decode().rstrip("\r\n").split(",")
-            cell = (int(bs), int(init_seed), int(data_seed))
-            float(accuracy)
-        except ValueError:
-            continue
-        seen.add((arch, *cell))
-        if all((a, *cell) in seen for a in train.ARCHITECTURES):
-            done.add(cell)
-            end = pos
+        done, end = done + 1, end + sum(map(len, cell))
     with open(out_path, "r+b") as fh:
         fh.truncate(end)
     return done
@@ -322,30 +329,21 @@ def cmd_compare(cfg: dict, out_dir: Path, workers: int) -> None:
     if meta_path.exists() and meta_path.read_text() != meta:
         raise ConfigError(f"{meta_path} records a different config; resume with that one or use a new --out")
     meta_path.write_text(meta)
+    cells = [(bs, i, d) for bs in cfg["batch_sizes"] for i in cfg["init_seeds"] for d in cfg["data_seeds"]]
+    keys = [[f"{arch},{bs},{i},{d},".encode() for arch in train.ARCHITECTURES] for bs, i, d in cells]
     out_path = out_dir / "accuracy.csv"
-    done = _resume(out_path)
-    cells = [
-        (cfg, bs, i, d)
-        for bs in cfg["batch_sizes"]
-        for i in cfg["init_seeds"]
-        for d in cfg["data_seeds"]
-        if (bs, i, d) not in done
-    ]
-    mode = "a" if done else "w"
+    done = _resume(out_path, keys)
+    cells, keys = cells[done:], keys[done:]
     parallel = workers > 1 and bool(cells)
-    with open(out_path, mode, newline="") as fh, (
+    with open(out_path, "ab") as fh, (
         concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_threads)
         if parallel else contextlib.nullcontext()
     ) as pool:
-        writer = csv.writer(fh)
-        if not done:
-            writer.writerow(["arch", "Bs", "init_seed", "data_seed", "accuracy"])
         # both maps yield in cell order, so the output does not depend on workers
-        results = (pool.map if parallel else map)(_compare_cell, cells)
+        results = (pool.map if parallel else map)(_compare_cell, [(cfg, *cell) for cell in cells])
         start = time.perf_counter()
-        for k, ((_, bs, i, d), (rows, seconds)) in enumerate(zip(cells, results), 1):
-            for row in rows:
-                writer.writerow([*row[:4], f"{row[4]:.17g}"])
+        for k, ((bs, i, d), cell_keys, (accuracies, seconds)) in enumerate(zip(cells, keys, results), 1):
+            fh.write(b"".join(map(_accuracy_row, cell_keys, accuracies)))
             fh.flush()
             eta = (time.perf_counter() - start) / k * (len(cells) - k)
             print(f"compare: cell {k}/{len(cells)} Bs={bs} init_seed={i} data_seed={d}:"

@@ -64,7 +64,6 @@ class NormErrorStats:
     batch_size: int
     mean_error: float  # nan when nothing was left to average
     std_error: float  # standard error of the mean over initializations
-    n_inits: int  # initializations averaged
     n: int  # batches averaged, over those initializations
     dead_inits: int  # excluded: the whole alphabet output was zero
     zero_batches: int  # excluded: every row of the batch was zero
@@ -160,7 +159,7 @@ def norm_error_experiment(
             mean = float(col.mean()) if k else float("nan")
             stderr = col.std(ddof=1) / np.sqrt(k) if k > 1 else 0.0
             stats.append(NormErrorStats(
-                M, bs, mean, float(stderr), k, int(kept[:, j].sum()),
+                M, bs, mean, float(stderr), int(kept[:, j].sum()),
                 dead_inits=dead, zero_batches=int((n_inits - dead) * n_batches - kept[:, j].sum()),
             ))
     return stats

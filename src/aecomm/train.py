@@ -88,7 +88,6 @@ class RunResult:
     tx: nn.Mlp
     rx: nn.Mlp
     constellation: np.ndarray  # M x 2, alphabet-normalized
-    steps_taken: int
     diverged_at: int | None = None
 
 
@@ -152,17 +151,16 @@ def train_step(
     optimizer: nn.Adam,
     grads: np.ndarray,
     batch: np.ndarray,
-    noise_rng: np.random.Generator,
+    noise: np.ndarray,
     config: TrainConfig,
     *,
     ws: dict | None = None,
 ) -> float:
-    """One gradient step; draws one batch_size x 2 noise block from noise_rng.
+    """One gradient step on `batch`, with `noise` the channel noise of its rows.
 
     grads is the flat gradient vector that tx and rx write into (nn.pack_params).
     ws is the workspace that loss_and_grads writes its per-step arrays into.
     """
-    noise = comm.awgn_noise((len(batch), 2), config.sigma2, noise_rng)
     loss, _ = loss_and_grads(tx, rx, batch, noise, config.power, SCOPES[config.architecture], ws=ws)
     optimizer.step([grads])
     return loss
@@ -189,14 +187,14 @@ def train_run(config: TrainConfig) -> RunResult:
 
     loss_curve: list[float] = []
     diverged_at = None
-    steps = 0
-    # one draw for all batches; at a power-of-2 M it equals one draw per step, state included
+    # one draw for all batches and one for all noise; they equal one draw per
+    # step, generator state included (the batches at a power-of-2 M)
     batches = sample_batch(config.M, config.n_steps * config.batch_size, data_rng)
+    noise = comm.awgn_noise((config.n_steps, config.batch_size, 2), config.sigma2, noise_rng)
     try:
-        for step, batch in enumerate(batches.reshape(config.n_steps, config.batch_size)):
-            loss = train_step(tx, rx, optimizer, grads, batch, noise_rng, config, ws=ws)
+        for step, (batch, step_noise) in enumerate(zip(batches.reshape(config.n_steps, -1), noise)):
+            loss = train_step(tx, rx, optimizer, grads, batch, step_noise, config, ws=ws)
             loss_curve.append(loss)
-            steps = step + 1
             if not math.isfinite(loss):
                 diverged_at = step
                 break
@@ -205,9 +203,9 @@ def train_run(config: TrainConfig) -> RunResult:
     except comm.DegenerateInputError as exc:  # a transmitter whose outputs are all zero
         raise comm.DegenerateInputError(
             f"{config.architecture} run at Bs={config.batch_size}, init_seed={config.init_seed},"
-            f" data_seed={config.data_seed}, noise_seed={config.noise_seed}, step {steps}: {exc}"
+            f" data_seed={config.data_seed}, noise_seed={config.noise_seed}, step {len(loss_curve)}: {exc}"
         ) from exc
-    return RunResult(config, loss_curve, tx, rx, constellation, steps, diverged_at)
+    return RunResult(config, loss_curve, tx, rx, constellation, diverged_at)
 
 
 def _json_list(values) -> list:
@@ -232,7 +230,7 @@ def run_result_to_dict(result: RunResult) -> dict:
     """
     return {
         "config": asdict(result.config),
-        "steps_taken": result.steps_taken,
+        "steps_taken": len(result.loss_curve),
         "diverged_at": result.diverged_at,
         "loss_curve": _json_list(result.loss_curve),
         "constellation": _json_list(result.constellation),

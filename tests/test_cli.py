@@ -346,6 +346,28 @@ class TestCompareCommand:
         assert cli.main(["compare", "--config", cfg, "--out", str(partial_dir), "--workers", "1"]) == 0
         assert (partial_dir / "accuracy.csv").read_bytes() == full
 
+    @pytest.mark.parametrize("damage", ["garbage_between_rows", "cells_out_of_order", "not_the_header",
+                                        "nan_accuracy"])
+    def test_resume_cuts_lines_an_uninterrupted_run_does_not_write(self, tmp_path, damage):
+        # a line that an uninterrupted run does not write at its place (a stray
+        # line, rows out of order, a wrong header, a NaN accuracy) is cut, with
+        # everything after it, and the cut cells are trained again
+        cfg = write_config(tmp_path, "c.json", COMPARE_SMOKE)
+        cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "full"), "--workers", "1"])
+        full = (tmp_path / "full" / "accuracy.csv").read_bytes()
+        header, *rows = full.splitlines(keepends=True)
+        damaged = {
+            "garbage_between_rows": [header, *rows[:2], b"garbage\r\n", *rows[2:]],
+            "cells_out_of_order": [header, *rows[2:], *rows[:2]],
+            "not_the_header": [b"not,the,header\r\n", *rows],
+            "nan_accuracy": [header, rows[0].rsplit(b",", 1)[0] + b",nan\r\n", rows[1]],
+        }[damage]
+        partial_dir = tmp_path / "part"
+        partial_dir.mkdir()
+        (partial_dir / "accuracy.csv").write_bytes(b"".join(damaged))
+        assert cli.main(["compare", "--config", cfg, "--out", str(partial_dir), "--workers", "1"]) == 0
+        assert (partial_dir / "accuracy.csv").read_bytes() == full
+
     def test_resume_with_different_config_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
         cfg = write_config(tmp_path, "c.json", COMPARE_SMOKE)

@@ -184,7 +184,7 @@ class TestNormErrorExperiment:
 
     def test_nothing_left_is_nan_with_n_zero(self):
         (stats,) = metrics.norm_error_experiment([4], [4], 1, 10, 1.0, (1,), seed=25)
-        assert (stats.n, stats.n_inits, stats.dead_inits) == (0, 0, 1)
+        assert (stats.n, stats.dead_inits) == (0, 1)
         assert np.isnan(stats.mean_error)
 
 
@@ -220,14 +220,14 @@ def one_shot_norm_error(M_list, batch_sizes, n_inits, n_batches, eb, tx_hidden, 
             mean = float(col.mean()) if k else float("nan")
             stderr = float(col.std(ddof=1) / np.sqrt(k)) if k > 1 else 0.0
             zero = (n_inits - dead) * n_batches - counts[j]
-            rows.append((M, bs, repr(mean), repr(stderr), k, counts[j], dead, zero))
+            rows.append((M, bs, repr(mean), repr(stderr), counts[j], dead, zero))
     return rows
 
 
 def stats_key(stats):
     """Every field of each cell; floats by repr, so a nan equals a nan."""
     return [
-        (s.M, s.batch_size, repr(s.mean_error), repr(s.std_error), s.n_inits, s.n,
+        (s.M, s.batch_size, repr(s.mean_error), repr(s.std_error), s.n,
          s.dead_inits, s.zero_batches)
         for s in stats
     ]

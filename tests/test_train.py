@@ -160,12 +160,11 @@ class TestTrainingBehaviour:
 class TestTrainRun:
     def test_single_step_budget(self):
         result = train.train_run(small_config(data_budget=8, batch_size=8))
-        assert result.steps_taken == 1
         assert len(result.loss_curve) == 1
 
     def test_budget_truncation(self):
         result = train.train_run(small_config(data_budget=30, batch_size=8))
-        assert result.steps_taken == 3
+        assert len(result.loss_curve) == 3
 
     def test_bit_identical_reruns(self):
         r1 = train.train_run(small_config())
@@ -300,7 +299,7 @@ def run_steps(config, n_steps, ws):
     noise_rng = np.random.default_rng(config.noise_seed)
     losses = [
         train.train_step(tx, rx, opt, grads, train.sample_batch(config.M, config.batch_size, data_rng),
-                         noise_rng, config, ws=ws)
+                         comm.awgn_noise((config.batch_size, 2), config.sigma2, noise_rng), config, ws=ws)
         for _ in range(n_steps)
     ]
     return losses, params, opt
@@ -365,7 +364,8 @@ class TestWorkspace:
 
         def step():
             batch = train.sample_batch(config.M, config.batch_size, data_rng)
-            train.train_step(tx, rx, opt, grads, batch, noise_rng, config, ws=ws)
+            noise = comm.awgn_noise((config.batch_size, 2), config.sigma2, noise_rng)
+            train.train_step(tx, rx, opt, grads, batch, noise, config, ws=ws)
 
         step()  # fills the workspace
         tracemalloc.start()
