@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
-import csv
 import ctypes
 import dataclasses
 import json
@@ -23,6 +22,7 @@ import math
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -147,37 +147,27 @@ def _is_str(v):
     return isinstance(v, str) and bool(v)
 
 
-def _is_pow2(v):
-    return _is_pos_int(v) and v >= 2 and v & (v - 1) == 0
-
-
 def _list_of(check, distinct=False):
     """Checker for a non-empty JSON list whose items all pass `check`; with `distinct`, none repeats."""
     return lambda v: (isinstance(v, list) and len(v) > 0 and all(check(x) for x in v)
                       and (not distinct or len(set(v)) == len(v)))
 
 
-# One JSON type checker per TrainConfig field that the train command exposes.
-# The defaults and every range check are TrainConfig's own; _train_config
-# turns its ValueError into a ConfigError.
-_TRAIN_CHECKS = {
-    "M": _is_int,
-    "batch_size": _is_int,
-    "snr_db": _is_real,
-    "power": _is_real,
-    "architecture": _is_str,
-    "tx_hidden": _list_of(_is_int),
-    "rx_hidden": _list_of(_is_int),
-    "lr": _is_real,
-    "data_budget": _is_int,
-    "init_seed": _is_int,
-    "data_seed": _is_int,
-    "noise_seed": lambda v: v is None or _is_int(v),
+# The JSON checker of each TrainConfig field type; a generic type is keyed by its
+# arguments, since Python versions build int | None from different classes. The
+# defaults and every range check are TrainConfig's own (see _train_config).
+_TYPE_CHECKS = {
+    int: _is_int, float: _is_real, str: _is_str,
+    (int, ...): _list_of(_is_int),  # tuple[int, ...]
+    (int, type(None)): lambda v: v is None or _is_int(v),  # int | None
 }
-_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(train.TrainConfig)}
+_TRAIN_HINTS = typing.get_type_hints(train.TrainConfig)
+_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(train.TrainConfig)
+                   if f.name not in ("beta1", "beta2", "epsilon")}  # Adam's are no config keys
 
 TRAIN_SCHEMA = {
-    **{key: (check, _TRAIN_DEFAULTS[key]) for key, check in _TRAIN_CHECKS.items()},
+    **{key: (_TYPE_CHECKS[typing.get_args(_TRAIN_HINTS[key]) or _TRAIN_HINTS[key]], default)
+       for key, default in _TRAIN_DEFAULTS.items()},
     "val_batches": (_is_pos_int, 30),
     "val_batch_size": (_is_pos_int, 1000),
     "val_seed": (_is_seed, 0),
@@ -193,7 +183,7 @@ COMPARE_SCHEMA = {
 }
 
 NORM_ERROR_SCHEMA = {
-    "M_list": (_list_of(_is_pow2, distinct=True), [4, 16, 64, 256]),
+    "M_list": (_list_of(_is_int, distinct=True), [4, 16, 64, 256]),  # cmd_norm_error checks powers of 2
     "batch_sizes": (_list_of(_is_pos_int, distinct=True), [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]),
     "n_inits": (_is_pos_int, 30),
     "n_batches": (_is_pos_int, 1000),
@@ -214,8 +204,21 @@ def _meta_text(name: str, cfg: dict) -> str:
     return json.dumps({"command": name, "config": cfg}, indent=2, sort_keys=True) + "\n"
 
 
+def _write_whole(path: Path, text: str) -> None:
+    """Write `text` to `path` through a temporary file beside it and a rename, so
+    `path` holds the whole text or its old content, and no temporary file is left."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(text.encode())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_meta(out_dir: Path, name: str, cfg: dict) -> None:
-    (out_dir / f"{name}_meta.json").write_text(_meta_text(name, cfg))
+    """Write the meta, last of a command's files: it marks a finished command."""
+    _write_whole(out_dir / f"{name}_meta.json", _meta_text(name, cfg))
 
 
 def _train_config(cfg: dict, **overrides) -> train.TrainConfig:
@@ -269,13 +272,8 @@ def cmd_norm_error(cfg: dict, out_dir: Path, workers: int) -> None:
     empty = [(st.M, st.batch_size) for st in stats if st.n == 0]
     if empty:
         raise RuntimeError(f"no batch left to average in (M, Bs) cells {empty}")
-    with open(out_dir / "norm_error.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["M", "Bs", "mean_error", "std_error", "n"])
-        for st in stats:
-            writer.writerow(
-                [st.M, st.batch_size, f"{st.mean_error:.17g}", f"{st.std_error:.17g}", st.n]
-            )
+    rows = (f"{st.M},{st.batch_size},{st.mean_error:.17g},{st.std_error:.17g},{st.n}\r\n" for st in stats)
+    _write_whole(out_dir / "norm_error.csv", "M,Bs,mean_error,std_error,n\r\n" + "".join(rows))
     _write_meta(out_dir, "norm_error", cfg)
 
 
@@ -326,12 +324,14 @@ def cmd_compare(cfg: dict, out_dir: Path, workers: int) -> None:
         _train_config(cfg, batch_size=bs)  # a rejected config fails before any output
     # the meta goes first, so a resume can tell which config the rows were made with
     meta_path, meta = out_dir / "compare_meta.json", _meta_text("compare", cfg)
+    out_path = out_dir / "accuracy.csv"
     if meta_path.exists() and meta_path.read_text() != meta:
         raise ConfigError(f"{meta_path} records a different config; resume with that one or use a new --out")
-    meta_path.write_text(meta)
+    if not meta_path.exists() and out_path.exists() and out_path.stat().st_size:
+        raise ConfigError(f"{out_path} has no compare_meta.json to tell its config; use a new --out")
+    _write_whole(meta_path, meta)
     cells = [(bs, i, d) for bs in cfg["batch_sizes"] for i in cfg["init_seeds"] for d in cfg["data_seeds"]]
     keys = [[f"{arch},{bs},{i},{d},".encode() for arch in train.ARCHITECTURES] for bs, i, d in cells]
-    out_path = out_dir / "accuracy.csv"
     done = _resume(out_path, keys)
     cells, keys = cells[done:], keys[done:]
     parallel = workers > 1 and bool(cells)
@@ -360,10 +360,10 @@ def cmd_train(cfg: dict, out_dir: Path, workers: int) -> None:
         "batch_size": cfg["val_batch_size"],
         "seed": cfg["val_seed"],
     }
-    with open(out_dir / "run.json", "w") as fh:
-        json.dump(doc, fh, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    comm.export_constellation_csv(result.constellation, out_dir / "constellation.csv")
+    run_text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    points = "".join(f"{i},{re:.17g},{im:.17g}\n" for i, (re, im) in enumerate(result.constellation))
+    _write_whole(out_dir / "run.json", run_text)
+    _write_whole(out_dir / "constellation.csv", "index,re,im\n" + points)
     _write_meta(out_dir, "train", cfg)
 
 
@@ -384,11 +384,8 @@ def cmd_ser(cfg: dict, out_dir: Path, workers: int) -> None:
         raise RuntimeError(f"{run_path}: the constellation or receiver is not finite (a diverged run)")
     rng = np.random.default_rng(cfg["seed"])
     rows = metrics.ser_sweep(points, rx, cfg["snr_db_list"], cfg["n_symbols"], rng, power)
-    with open(out_dir / "ser.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["snr_db", "ser", "ci_lo", "ci_hi"])
-        for snr_db, ser, lo, hi in rows:
-            writer.writerow([f"{snr_db:.17g}", f"{ser:.17g}", f"{lo:.17g}", f"{hi:.17g}"])
+    lines = (f"{snr_db:.17g},{ser:.17g},{lo:.17g},{hi:.17g}\r\n" for snr_db, ser, lo, hi in rows)
+    _write_whole(out_dir / "ser.csv", "snr_db,ser,ci_lo,ci_hi\r\n" + "".join(lines))
     _write_meta(out_dir, "ser", cfg)
 
 

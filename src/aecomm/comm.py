@@ -107,13 +107,3 @@ def decode(logits: np.ndarray) -> np.ndarray:
     if logits.size == 0:
         raise ValueError("cannot decode empty logits")
     return np.argmax(logits, axis=1)
-
-
-def export_constellation_csv(points: np.ndarray, path) -> None:
-    """Write the constellation as CSV rows `index,re,im` with 17 significant digits."""
-    lines = ["index,re,im"]
-    for i, (re, im) in enumerate(points):
-        lines.append(f"{i},{re:.17g},{im:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-

@@ -1,10 +1,13 @@
 import ctypes
+import dataclasses
 import json
+import math
+import shutil
 
 import numpy as np
 import pytest
 
-from aecomm import cli
+from aecomm import cli, metrics
 from helpers import load_constellation_csv
 
 
@@ -12,6 +15,15 @@ def write_config(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def interrupted_compare(full_dir, part_dir, accuracy: bytes):
+    """A copy of a finished compare's --out whose accuracy.csv holds `accuracy`,
+    as a run interrupted after it had written its meta leaves it."""
+    part_dir.mkdir()
+    shutil.copy(full_dir / "compare_meta.json", part_dir)
+    (part_dir / "accuracy.csv").write_bytes(accuracy)
+    return part_dir
 
 
 TRAIN_SMOKE = {
@@ -264,6 +276,10 @@ class TestTrainCommand:
         cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")])
         points = load_constellation_csv(tmp_path / "o" / "constellation.csv")
         assert np.mean(np.sum(points * points, axis=1)) == pytest.approx(1.0, rel=1e-9)
+        # the CSV, whose index,re,im header load_constellation_csv requires,
+        # holds run.json's constellation bit for bit
+        doc = json.loads((tmp_path / "o" / "run.json").read_text())
+        assert np.array_equal(points, np.array(doc["constellation"]))
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "t.json", TRAIN_SMOKE)
@@ -322,13 +338,12 @@ class TestCompareCommand:
     def test_resume_from_partial(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", COMPARE_SMOKE)
         cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "full"), "--workers", "1"])
-        full = (tmp_path / "full" / "accuracy.csv").read_text()
+        full = (tmp_path / "full" / "accuracy.csv").read_bytes()
         # keep header plus the first completed pair, then resume
-        partial_dir = tmp_path / "part"
-        partial_dir.mkdir()
-        (partial_dir / "accuracy.csv").write_text("".join(full.splitlines(keepends=True)[:3]))
+        partial_dir = interrupted_compare(tmp_path / "full", tmp_path / "part",
+                                          b"".join(full.splitlines(keepends=True)[:3]))
         cli.main(["compare", "--config", cfg, "--out", str(partial_dir), "--workers", "1"])
-        assert (partial_dir / "accuracy.csv").read_text() == full
+        assert (partial_dir / "accuracy.csv").read_bytes() == full
 
     @pytest.mark.parametrize("keep_rows, torn_chars", [(2, 20), (3, 20), (2, 3), (0, 10)])
     def test_resume_after_torn_last_line(self, tmp_path, keep_rows, torn_chars):
@@ -339,10 +354,8 @@ class TestCompareCommand:
         cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "full"), "--workers", "1"])
         full = (tmp_path / "full" / "accuracy.csv").read_bytes()
         lines = full.splitlines(keepends=True)
-        partial_dir = tmp_path / "part"
-        partial_dir.mkdir()
         torn = b"".join(lines[: 1 + keep_rows]) + lines[1 + keep_rows][:torn_chars]
-        (partial_dir / "accuracy.csv").write_bytes(torn)
+        partial_dir = interrupted_compare(tmp_path / "full", tmp_path / "part", torn)
         assert cli.main(["compare", "--config", cfg, "--out", str(partial_dir), "--workers", "1"]) == 0
         assert (partial_dir / "accuracy.csv").read_bytes() == full
 
@@ -362,9 +375,7 @@ class TestCompareCommand:
             "not_the_header": [b"not,the,header\r\n", *rows],
             "nan_accuracy": [header, rows[0].rsplit(b",", 1)[0] + b",nan\r\n", rows[1]],
         }[damage]
-        partial_dir = tmp_path / "part"
-        partial_dir.mkdir()
-        (partial_dir / "accuracy.csv").write_bytes(b"".join(damaged))
+        partial_dir = interrupted_compare(tmp_path / "full", tmp_path / "part", b"".join(damaged))
         assert cli.main(["compare", "--config", cfg, "--out", str(partial_dir), "--workers", "1"]) == 0
         assert (partial_dir / "accuracy.csv").read_bytes() == full
 
@@ -378,6 +389,22 @@ class TestCompareCommand:
         assert "different config" in capsys.readouterr().err
         assert {name: (out / name).read_bytes() for name in before} == before
 
+    def test_resume_without_meta_exits_2(self, tmp_path, capsys):
+        # rows whose config no meta records are refused, not resumed against
+        # another config whose keys match (here another lr)
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "c.json", COMPARE_SMOKE)
+        assert cli.main(["compare", "--config", cfg, "--out", str(out), "--workers", "1"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["accuracy.csv", "compare_meta.json"]
+        (out / "compare_meta.json").unlink()
+        before = (out / "accuracy.csv").read_bytes()
+        capsys.readouterr()
+        other = write_config(tmp_path, "lr.json", {**COMPARE_SMOKE, "lr": 0.5})
+        assert cli.main(["compare", "--config", other, "--out", str(out), "--workers", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out / 'accuracy.csv'} has no compare_meta.json")
+        assert [p.name for p in out.iterdir()] == ["accuracy.csv"]
+        assert (out / "accuracy.csv").read_bytes() == before
+
     def test_progress_lines_count_remaining_cells(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", COMPARE_SMOKE)
         assert cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "full"), "--workers", "1"]) == 0
@@ -388,9 +415,8 @@ class TestCompareCommand:
         assert lines[1].endswith(" s, ETA 0 s")
         full = (tmp_path / "full" / "accuracy.csv").read_bytes()
         # resumed after the first cell: only the remaining one is counted
-        part = tmp_path / "part"
-        part.mkdir()
-        (part / "accuracy.csv").write_bytes(b"".join(full.splitlines(keepends=True)[:3]))
+        part = interrupted_compare(tmp_path / "full", tmp_path / "part",
+                                   b"".join(full.splitlines(keepends=True)[:3]))
         assert cli.main(["compare", "--config", cfg, "--out", str(part), "--workers", "1"]) == 0
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("compare: cell 1/1 Bs=16 init_seed=0 data_seed=100: ")
@@ -404,6 +430,45 @@ class TestCompareCommand:
         before = (tmp_path / "a" / "accuracy.csv").read_bytes()
         cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "a"), "--workers", "1"])
         assert (tmp_path / "a" / "accuracy.csv").read_bytes() == before
+
+
+def _corrupt_second_row(fn, row):
+    """`fn` whose result's second item becomes row(item), a row no writer can format."""
+    def wrapped(*args, **kwargs):
+        rows = list(fn(*args, **kwargs))
+        rows[1] = row(rows[1])
+        return rows
+    return wrapped
+
+
+class TestWholeFiles:
+    @pytest.mark.parametrize("command", ["train", "norm-error", "ser"])
+    def test_failure_while_formatting_leaves_no_file(self, tmp_path, monkeypatch, capsys, command):
+        # a command writes its data files whole, then its meta, and no temporary
+        # file: a value that fails to format partway leaves the --out empty
+        run = tmp_path / "run"
+        tcfg = write_config(tmp_path, "t.json", {**TRAIN_SMOKE, "data_budget": 640})
+        assert cli.main(["train", "--config", tcfg, "--out", str(run)]) == 0
+        cfg, files, patch = {
+            "train": (tcfg, ["constellation.csv", "run.json", "train_meta.json"],
+                      ("validation_accuracy", lambda fn: lambda *args: math.nan)),
+            "norm-error": (write_config(tmp_path, "ne.json", {**NORM_ERROR_TINY, "batch_sizes": [4, 8]}),
+                           ["norm_error.csv", "norm_error_meta.json"],
+                           ("norm_error_experiment", lambda fn: _corrupt_second_row(
+                               fn, lambda st: dataclasses.replace(st, mean_error="x")))),
+            "ser": (write_config(tmp_path, "s.json", {"run_json": str(run / "run.json"),
+                                                      "snr_db_list": [0, 10], "n_symbols": 100}),
+                    ["ser.csv", "ser_meta.json"],
+                    ("ser_sweep", lambda fn: _corrupt_second_row(fn, lambda row: ("x", *row[1:])))),
+        }[command]
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+        assert sorted(p.name for p in (tmp_path / "ok").iterdir()) == files
+        name, wrap = patch
+        monkeypatch.setattr(metrics, name, wrap(getattr(metrics, name)))
+        capsys.readouterr()
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
+        assert capsys.readouterr().err.startswith("failure: ")
+        assert list((tmp_path / "bad").iterdir()) == []
 
 
 class TestSerCommand:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aecomm import comm
-from helpers import gradient_check, load_constellation_csv, softmax
+from helpers import gradient_check, softmax
 
 
 def random_matrix(seed, rows=6, cols=2, scale=1.0):
@@ -184,14 +184,3 @@ class TestDecode:
     def test_softmax_monotone(self):
         logits = np.random.default_rng(16).normal(size=(20, 7))
         assert np.array_equal(comm.decode(logits), comm.decode(softmax(logits)))
-
-
-class TestConstellationCsv:
-    def test_roundtrip_exact(self, tmp_path):
-        points = random_matrix(17, rows=8)
-        path = tmp_path / "c.csv"
-        comm.export_constellation_csv(points, path)
-        loaded = load_constellation_csv(path)
-        assert np.array_equal(points, loaded)
-        header = path.read_text().splitlines()[0]
-        assert header == "index,re,im"
