@@ -1,9 +1,12 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aecomm import comm
-from helpers import gradient_check, softmax
+from aecomm import cli, comm
+from helpers import gradient_check, load_constellation_csv, softmax
 
 
 def random_matrix(seed, rows=6, cols=2, scale=1.0):
@@ -184,3 +187,26 @@ class TestDecode:
     def test_softmax_monotone(self):
         logits = np.random.default_rng(16).normal(size=(20, 7))
         assert np.array_equal(comm.decode(logits), comm.decode(softmax(logits)))
+
+
+class TestConstellationCsv:
+    def test_roundtrip_exact(self, tmp_path, monkeypatch):
+        # the train command writes constellation.csv; arbitrary doubles stand in
+        # for the trained points, so every one must survive the text round trip
+        points = random_matrix(17, rows=8)
+        train_and_score = cli._train_and_score
+
+        def with_points(config, cfg):
+            result, accuracy = train_and_score(config, cfg)
+            return dataclasses.replace(result, constellation=points), accuracy
+
+        monkeypatch.setattr(cli, "_train_and_score", with_points)
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps({"M": 8, "batch_size": 8, "data_budget": 64,
+                                   "val_batches": 1, "val_batch_size": 8}))
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        path = tmp_path / "o" / "constellation.csv"
+        loaded = load_constellation_csv(path)
+        assert np.array_equal(points, loaded)
+        header = path.read_text().splitlines()[0]
+        assert header == "index,re,im"
