@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import comm, metrics, train
+from . import comm, metrics, nn, train
 
 
 class ConfigError(Exception):
@@ -80,16 +80,20 @@ def pin_blas_threads() -> None:
     set_threads(1)
 
 
-def _load_config(path: str, schema: dict) -> dict:
-    """Load JSON and validate against {key: (checker, default-or-None)}.
-
-    Unknown keys are rejected; keys with default None are required.
-    """
+def _read_json(path, what: str):
+    """The JSON document at `path`; an unreadable one is a ConfigError naming `what` and the file."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _check(raw, schema: dict) -> dict:
+    """Validate a JSON config against {key: (checker, default-or-_REQUIRED)}.
+
+    Unknown keys are rejected; keys with default _REQUIRED are required.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - set(schema)
@@ -161,13 +165,13 @@ _TYPE_CHECKS = {
     (int, ...): _list_of(_is_int),  # tuple[int, ...]
     (int, type(None)): lambda v: v is None or _is_int(v),  # int | None
 }
-_TRAIN_HINTS = typing.get_type_hints(train.TrainConfig)
+_FIELD_CHECKS = {key: _TYPE_CHECKS[typing.get_args(hint) or hint]
+                 for key, hint in typing.get_type_hints(train.TrainConfig).items()}
 _TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(train.TrainConfig)
                    if f.name not in ("beta1", "beta2", "epsilon")}  # Adam's are no config keys
 
 TRAIN_SCHEMA = {
-    **{key: (_TYPE_CHECKS[typing.get_args(_TRAIN_HINTS[key]) or _TRAIN_HINTS[key]], default)
-       for key, default in _TRAIN_DEFAULTS.items()},
+    **{key: (_FIELD_CHECKS[key], default) for key, default in _TRAIN_DEFAULTS.items()},
     "val_batches": (_is_pos_int, 30),
     "val_batch_size": (_is_pos_int, 1000),
     "val_seed": (_is_seed, 0),
@@ -367,23 +371,67 @@ def cmd_train(cfg: dict, out_dir: Path, workers: int) -> None:
     _write_meta(out_dir, "train", cfg)
 
 
+# the keys of the run.json cmd_train writes, and of its config
+_RUN_KEYS = {"config", "steps_taken", "diverged_at", "loss_curve", "constellation", "validation_accuracy",
+             "validation", "tx", "rx"}
+_RUN_CONFIG_SCHEMA = {key: (check, _REQUIRED) for key, check in _FIELD_CHECKS.items()}
+
+
+def _floats(value, shape: tuple) -> np.ndarray:
+    """JSON lists of numbers or nulls (a diverged run's non-finite values) as a float array of `shape`."""
+    a = np.array(value, dtype=object)
+    if a.shape != shape or not all(v is None or _is_num(v) for v in a.flat):
+        raise ValueError(f"expected a {shape} array of numbers")
+    return a.astype(float)
+
+
+def _network(d, sizes: list[int]) -> nn.Mlp:
+    """run.json's network `d`, laid out as nn.build_mlp(sizes) lays it out: ReLU hidden, linear last."""
+    n = len(sizes) - 1
+    if set(d) != {"weights", "biases", "activations"} or d["activations"] != ["relu"] * (n - 1) + ["linear"]:
+        raise ValueError(f"expected a network of {sizes} as train builds it")
+    weights = [_floats(W, shape) for W, shape in zip(d["weights"], zip(sizes, sizes[1:]), strict=True)]
+    biases = [_floats(b, (size,)) for b, size in zip(d["biases"], sizes[1:], strict=True)]
+    return nn.Mlp(weights, biases, d["activations"])
+
+
+def _load_run(path: Path) -> tuple[train.TrainConfig, np.ndarray, nn.Mlp]:
+    """The config, constellation and receiver of a run.json, checked against what cmd_train writes.
+
+    A file cmd_train cannot have written is a ConfigError that names it: one
+    that is no JSON, a missing or extra key, an ill-typed value of a key read
+    here, networks that do not chain M -> 2 -> M through the config's hidden
+    sizes, or a constellation that is not, bit for bit, the transmitter's
+    alphabet output normalized to config.power. A diverged run, whose nulls
+    load as nan, is a RuntimeError; finiteness is tested before the
+    constellation is recomputed.
+    """
+    doc = _read_json(path, "run")
+    try:
+        keys = set(doc) if isinstance(doc, dict) else set()
+        if keys != _RUN_KEYS:
+            raise ValueError(f"missing or unknown keys {sorted(keys ^ _RUN_KEYS)}")
+        config = train.TrainConfig(**_check(doc["config"], _RUN_CONFIG_SCHEMA))
+        tx = _network(doc["tx"], [config.M, *config.tx_hidden, 2])
+        rx = _network(doc["rx"], [2, *config.rx_hidden, config.M])
+        points = _floats(doc["constellation"], (config.M, 2))
+        if not all(np.isfinite(a).all() for a in (points, *tx.param_list(), *rx.param_list())):
+            raise RuntimeError(f"{path}: the constellation or a network is not finite (a diverged run)")
+        raw, _ = nn.mlp_forward(np.arange(config.M), tx)
+        if not np.array_equal(comm.normalize_average(raw, config.power)[0], points):
+            raise ValueError("the constellation is not the transmitter's alphabet output at config.power")
+    except (ConfigError, ValueError, TypeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return config, points, rx
+
+
 def cmd_ser(cfg: dict, out_dir: Path, workers: int) -> None:
-    run_path = Path(cfg["run_json"])
-    if not run_path.exists():
-        raise ConfigError(f"run file not found: {run_path}")
-    with open(run_path) as fh:
-        doc = json.load(fh)
-    power = doc["config"]["power"]
+    config, points, rx = _load_run(Path(cfg["run_json"]))
     with _config_errors():  # an SNR whose noise variance under- or overflows
         for snr_db in cfg["snr_db_list"]:
-            comm.sigma2_from_snr(power, snr_db)
-    points = np.asarray(doc["constellation"], dtype=float)
-    rx = train.mlp_from_dict(doc["rx"])
-    # a diverged run stores its non-finite values as null, which load as nan
-    if not all(np.isfinite(a).all() for a in (points, *rx.weights, *rx.biases)):
-        raise RuntimeError(f"{run_path}: the constellation or receiver is not finite (a diverged run)")
+            comm.sigma2_from_snr(config.power, snr_db)
     rng = np.random.default_rng(cfg["seed"])
-    rows = metrics.ser_sweep(points, rx, cfg["snr_db_list"], cfg["n_symbols"], rng, power)
+    rows = metrics.ser_sweep(points, rx, cfg["snr_db_list"], cfg["n_symbols"], rng, config.power)
     lines = (f"{snr_db:.17g},{ser:.17g},{lo:.17g},{hi:.17g}\r\n" for snr_db, ser, lo, hi in rows)
     _write_whole(out_dir / "ser.csv", "snr_db,ser,ci_lo,ci_hi\r\n" + "".join(lines))
     _write_meta(out_dir, "ser", cfg)
@@ -414,7 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     schema, fn = _COMMANDS[args.command]
     try:
-        cfg = _load_config(args.config, schema)
+        cfg = _check(_read_json(args.config, "config"), schema)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

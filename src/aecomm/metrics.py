@@ -21,10 +21,10 @@ from . import comm, nn
 _Z95 = 1.959963984540054
 
 
-# Elements in the widest array of one block of a sweep: norm-error draws this
-# many batch indices at a time, ser decodes as many rows as keep the widest
-# per-row activation within it. Bounded blocks stay in cache, so the sweeps'
-# memory does not grow with n_batches * Bs or n_symbols.
+# Elements in the widest array of one block: norm-error draws this many batch
+# indices at a time, and the decoders (ser, validation) decode as many rows as
+# keep the widest per-row activation within it. Bounded blocks stay in cache,
+# so memory does not grow with n_batches * Bs, n_symbols or val_batch_size.
 _BLOCK = 1 << 16
 
 
@@ -69,19 +69,12 @@ class NormErrorStats:
     zero_batches: int  # excluded: every row of the batch was zero
 
 
-def normalization_error(
-    tx: nn.Mlp,
-    batch_indices: np.ndarray,
-    power: float,
-) -> float:
-    """Mean distance between batch-scope and alphabet-scope normalized symbols."""
-    M = tx.in_dim
-    batch_indices = np.asarray(batch_indices)
-    raw, _ = nn.mlp_forward(np.arange(M), tx)
-    x_batch, _ = comm.normalize_average(comm.gather(raw, batch_indices), power)
-    all_norm, _ = comm.normalize_average(raw, power)
-    x_alpha = comm.gather(all_norm, batch_indices)
-    return float(np.linalg.norm(x_batch - x_alpha, axis=1).mean())
+def normalization_error(tx: nn.Mlp, batch_indices: np.ndarray, power: float) -> float:
+    """Mean distance between batch- and alphabet-scope normalized symbols: the closed
+    form of _batch_errors on one batch, nan for an all-zero batch or a dead transmitter."""
+    raw, _ = nn.mlp_forward(np.arange(tx.in_dim), tx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(_batch_errors(_alphabet_terms(raw, power), np.asarray(batch_indices)[None], power)[0])
 
 
 def _alphabet_terms(raw: np.ndarray, power: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -165,6 +158,24 @@ def norm_error_experiment(
     return stats
 
 
+def _decode_errors(points: np.ndarray, rx: nn.Mlp, labels: np.ndarray, sigma2: float,
+                   rng: np.random.Generator, ws: dict) -> int:
+    """Wrong decisions of rx on points[labels] through AWGN of variance sigma2. The noise is
+    drawn whole; the decode runs in blocks of _BLOCK // (widest layer) rows each."""
+    n = len(labels)
+    block = max(1, _BLOCK // max(W.shape[1] for W in rx.weights))
+    y = comm.awgn(comm.gather(points, labels), sigma2, rng)
+    errors = 0
+    for a in range(0, n, block):
+        # a partial last block is decoded as the last full window, and only
+        # its new rows count: a pass's last bits depend on its row count
+        lo = max(0, min(a, n - block))
+        logits, _ = nn.mlp_forward(y[lo:a + block], rx, ws=ws)
+        wrong = comm.decode(logits) != labels[lo:a + block]
+        errors += int(np.count_nonzero(wrong[a - lo:]))
+    return errors
+
+
 def validation_accuracy(
     points: np.ndarray,
     rx: nn.Mlp,
@@ -178,16 +189,14 @@ def validation_accuracy(
     The sent symbols are the deployed constellation itself, so the set has zero
     normalization error.
     """
-    M = points.shape[0]
-    correct = 0
     ws = {}  # every batch has the same shape, so only the first pass allocates
+    errors = 0
     for _ in range(n_batches):
         # validation batches (1000 labels by default) are below _draw_indices' break-even
-        labels = rng.integers(0, M, size=batch_size)
-        y = comm.awgn(comm.gather(points, labels), sigma2, rng)
-        logits, _ = nn.mlp_forward(y, rx, ws=ws)
-        correct += int(np.count_nonzero(comm.decode(logits) == labels))
-    return correct / (n_batches * batch_size)
+        labels = rng.integers(0, points.shape[0], size=batch_size)
+        errors += _decode_errors(points, rx, labels, sigma2, rng, ws)
+    n = n_batches * batch_size
+    return (n - errors) / n
 
 
 def wilson_interval(errors: int, n: int) -> tuple[float, float]:
@@ -210,27 +219,13 @@ def ser_sweep(
     rng: np.random.Generator,
     power: float,
 ) -> list[tuple[float, float, float, float]]:
-    """Monte-Carlo symbol error rate of rx on `points` per SNR point, with 95% Wilson CI.
-
-    Each point's labels and noise are drawn whole; the decode runs in blocks
-    of rows whose widest per-row array keeps a block within _BLOCK elements,
-    and every block has the same number of rows.
-    """
+    """Monte-Carlo symbol error rate of rx on `points` per SNR point, with 95% Wilson CI."""
     ws = {}
-    block = max(1, _BLOCK // max(W.shape[1] for W in rx.weights))
     rows = []
     for snr_db in snr_db_list:
         sigma2 = comm.sigma2_from_snr(power, snr_db)
         labels = _draw_indices(rng, points.shape[0], n_symbols)
-        y = comm.awgn(comm.gather(points, labels), sigma2, rng)
-        errors = 0
-        for a in range(0, n_symbols, block):
-            # a partial last block is decoded as the last full window, and only
-            # its new rows count: a pass's last bits depend on its row count
-            lo = max(0, min(a, n_symbols - block))
-            logits, _ = nn.mlp_forward(y[lo:a + block], rx, ws=ws)
-            wrong = comm.decode(logits) != labels[lo:a + block]
-            errors += int(np.count_nonzero(wrong[a - lo:]))
+        errors = _decode_errors(points, rx, labels, sigma2, rng, ws)
         lo, hi = wilson_interval(errors, n_symbols)
         rows.append((float(snr_db), errors / n_symbols, lo, hi))
     return rows

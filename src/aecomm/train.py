@@ -238,10 +238,3 @@ def run_result_to_dict(result: RunResult) -> dict:
         "tx": _mlp_to_dict(result.tx),
     }
 
-
-def mlp_from_dict(d: dict) -> nn.Mlp:
-    return nn.Mlp(
-        [np.asarray(W, dtype=float) for W in d["weights"]],
-        [np.asarray(b, dtype=float) for b in d["biases"]],
-        list(d["activations"]),
-    )

@@ -3,7 +3,7 @@ loss wrappers for it, and reference helpers that only the tests use."""
 
 import numpy as np
 
-from aecomm import metrics, nn, train
+from aecomm import comm, metrics, nn, train
 
 
 def e2e_loss_fn(architecture, tx, rx, batch, noise, power):
@@ -53,6 +53,20 @@ def load_constellation_csv(path):
 def norm_errors_vectorized(raw, indices, power):
     """Normalization error of each row of batch indices, from the raw alphabet output."""
     return metrics._batch_errors(metrics._alphabet_terms(raw, power), indices, power)
+
+
+def normalization_error_direct(tx, batch_indices, power):
+    """metrics.normalization_error by its definition: normalize the batch's raw rows
+    over the batch and the whole alphabet output over the alphabet, then average the
+    distance between each row's two normalized symbols. Raises DegenerateInputError
+    where either scope has nothing to scale."""
+    M = tx.in_dim
+    batch_indices = np.asarray(batch_indices)
+    raw, _ = nn.mlp_forward(np.arange(M), tx)
+    x_batch, _ = comm.normalize_average(comm.gather(raw, batch_indices), power)
+    all_norm, _ = comm.normalize_average(raw, power)
+    x_alpha = comm.gather(all_norm, batch_indices)
+    return float(np.linalg.norm(x_batch - x_alpha, axis=1).mean())
 
 
 def gradient_check(f, x, h=1e-5):

@@ -1,11 +1,16 @@
+import copy
 import ctypes
 import dataclasses
 import json
 import math
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aecomm import cli, metrics
 from helpers import load_constellation_csv
@@ -166,11 +171,12 @@ class TestConfigValidation:
         assert existing.is_dir()
 
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
-        # a well-formed config whose run file lacks the constellation fails while running
+        # a well-formed config whose run file holds a non-finite point fails while
+        # running: finiteness is tested before the constellation is recomputed
         tcfg = write_config(tmp_path, "t.json", {**TRAIN_SMOKE, "data_budget": 640})
         assert cli.main(["train", "--config", tcfg, "--out", str(tmp_path / "run")]) == 0
         doc = json.loads((tmp_path / "run" / "run.json").read_text())
-        del doc["constellation"]
+        doc["constellation"][1][0] = None
         (tmp_path / "broken.json").write_text(json.dumps(doc))
         scfg = write_config(tmp_path, "s.json", {"run_json": str(tmp_path / "broken.json")})
         assert cli.main(["ser", "--config", scfg, "--out", str(tmp_path / "o")]) == 1
@@ -530,3 +536,104 @@ class TestSerCommand:
         cli.main(["ser", "--config", scfg, "--out", str(tmp_path / "a")])
         cli.main(["ser", "--config", scfg, "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "ser.csv").read_bytes() == (tmp_path / "b" / "ser.csv").read_bytes()
+
+
+# a tiny M=4 run for ser's run check, and the ser config it is scored with
+TRAIN_TINY = {"M": 4, "batch_size": 8, "data_budget": 800, "tx_hidden": [8], "rx_hidden": [8],
+              "val_batches": 1, "val_batch_size": 100}
+SER_TINY = {"snr_db_list": [0, 10], "n_symbols": 1000}
+
+
+def ser_on(work_dir: Path, run_text: str):
+    """ser's exit code on `run_text` as a run.json in work_dir, and its ser.csv bytes (None if absent)."""
+    (work_dir / "run.json").write_text(run_text)
+    cfg = write_config(work_dir, "s.json", {**SER_TINY, "run_json": str(work_dir / "run.json")})
+    code = cli.main(["ser", "--config", cfg, "--out", str(work_dir / "o")])
+    csv = work_dir / "o" / "ser.csv"
+    return code, csv.read_bytes() if csv.exists() else None
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """The tiny run's run.json document, and the ser.csv bytes of the file train wrote."""
+    base = tmp_path_factory.mktemp("tiny_run")
+    tcfg = write_config(base, "t.json", TRAIN_TINY)
+    assert cli.main(["train", "--config", tcfg, "--out", str(base / "run")]) == 0
+    text = (base / "run" / "run.json").read_text()
+    code, ser_csv = ser_on(base, text)
+    assert code == 0
+    return json.loads(text), ser_csv
+
+
+# the arrays of the tiny run that ser reads: its constellation and both networks' layers
+ARRAY_PATHS = [("constellation",)] + [(net, part, k) for net in ("tx", "rx")
+                                      for part in ("weights", "biases") for k in range(2)]
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def put(doc, path, value):
+    at(doc, path[:-1])[path[-1]] = value
+
+
+class TestSerRunCheck:
+    """ser scores only a run.json that train can have written; anything else exits 2."""
+
+    def test_intact_file_keeps_its_bytes(self, tiny_run, tmp_path):
+        doc, ser_csv = tiny_run
+        assert ser_on(tmp_path, json.dumps(doc)) == (0, ser_csv)
+
+    @pytest.mark.parametrize("edit", ["8 points", "2 points", "power 100", "no rx", "not JSON"])
+    def test_edited_run_exits_2(self, tiny_run, tmp_path, capsys, edit):
+        # the first three wrote a ser.csv with exit 0 before the check, and a run
+        # without rx failed with exit 1
+        doc = copy.deepcopy(tiny_run[0])
+        if edit == "8 points":
+            doc["constellation"] += doc["constellation"]
+        elif edit == "2 points":
+            doc["constellation"] = doc["constellation"][:2]
+        elif edit == "power 100":
+            doc["config"]["power"] = 100
+        elif edit == "no rx":
+            del doc["rx"]
+        text = "{" if edit == "not JSON" else json.dumps(doc)
+        capsys.readouterr()
+        assert ser_on(tmp_path, text) == (2, None)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "run.json") in err
+        assert not (tmp_path / "o").exists()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_mutant_exits_2_without_csv(self, tiny_run, data):
+        # mutants of what ser reads: a key dropped, an array reshaped, a point
+        # nudged by one ulp, rows permuted, or another power (a weight nudged by
+        # one ulp can round away in the forward pass, so nudges go to the points)
+        doc = copy.deepcopy(tiny_run[0])
+        kind = data.draw(st.sampled_from(["drop", "reshape", "nudge", "permute", "power"]))
+        if kind == "drop":
+            parent = data.draw(st.sampled_from([(), ("config",), ("tx",), ("rx",)]))
+            del at(doc, parent)[data.draw(st.sampled_from(sorted(at(doc, parent))))]
+        elif kind == "reshape":
+            path = data.draw(st.sampled_from(ARRAY_PATHS))
+            a = np.array(at(doc, path))
+            a = data.draw(st.sampled_from([a.ravel() if a.ndim == 2 else a[None], a[:-1],
+                                           np.concatenate([a, a[-1:]])]))
+            put(doc, path, a.tolist())
+        elif kind == "nudge":
+            row, col = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 1))
+            toward = data.draw(st.sampled_from([-math.inf, math.inf]))
+            doc["constellation"][row][col] = float(np.nextafter(doc["constellation"][row][col], toward))
+        elif kind == "permute":
+            path = data.draw(st.sampled_from([("constellation",), ("tx", "weights", 0)]))
+            order = data.draw(st.permutations(range(4)))
+            assume(order != list(range(4)))
+            put(doc, path, [at(doc, path)[i] for i in order])
+        else:
+            doc["config"]["power"] = data.draw(st.sampled_from([0.5, 2, 2.5, 100.0]))
+        with tempfile.TemporaryDirectory() as work:
+            assert ser_on(Path(work), json.dumps(doc)) == (2, None)

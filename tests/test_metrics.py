@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from aecomm import comm, metrics, nn
-from helpers import norm_errors_vectorized, qpsk_points
+from helpers import norm_errors_vectorized, normalization_error_direct, qpsk_points
 
 
 def tx_with_outputs(raw):
@@ -69,8 +69,40 @@ class TestNormalizationError:
         raw, _ = nn.mlp_forward(np.eye(16), tx)
         idx = rng.integers(0, 16, size=(50, 6))
         fast = norm_errors_vectorized(raw, idx, 4.0)
-        slow = [metrics.normalization_error(tx, row, 4.0) for row in idx]
+        slow = [normalization_error_direct(tx, row, 4.0) for row in idx]
         assert np.allclose(fast, slow, rtol=1e-10, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        M=st.sampled_from([2, 4, 16, 128]),
+        hidden=st.sampled_from([(1,), (3,), (20,), (10, 10)]),
+        # batch sizes on both sides of numpy's 8- and 128-element pairwise-sum branches
+        batch_size=st.one_of(st.integers(1, 10), st.integers(124, 132), st.integers(250, 300)),
+        power=st.floats(0.1, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_closed_form_equals_direct_definition(self, M, hidden, batch_size, power, seed):
+        rng = np.random.default_rng(seed)
+        tx = nn.build_mlp([M, *hidden, 2], rng)
+        batch = rng.integers(0, M, size=batch_size)
+        raw, _ = nn.mlp_forward(np.arange(M), tx)
+        got = metrics.normalization_error(tx, batch, power)
+        if not raw[batch].any():  # one-unit layers give dead transmitters and all-zero batches
+            assert np.isnan(got)
+            with pytest.raises(comm.DegenerateInputError):
+                normalization_error_direct(tx, batch, power)
+            return
+        # where the two scales nearly coincide, the definition subtracts two nearly
+        # equal symbols, which leaves a rounding residue of the symbols' own size
+        symbols = np.sqrt(power) + np.linalg.norm(comm.normalize_average(raw, power)[0][batch], axis=1).mean()
+        assert got == pytest.approx(normalization_error_direct(tx, batch, power), rel=1e-12,
+                                    abs=1e-12 * symbols)
+
+    def test_degenerate_cases_are_nan(self):
+        # no batch-scope scale: a batch of all-zero rows, or a dead transmitter
+        tx = tx_with_outputs([[0, 0], [1, 0], [0, 0], [1, 1]])
+        assert np.isnan(metrics.normalization_error(tx, np.array([0, 2, 0]), 1.0))
+        assert np.isnan(metrics.normalization_error(tx_with_outputs(np.zeros((4, 2))), np.arange(4), 1.0))
 
 
 class IntegersForbidden:
@@ -284,6 +316,36 @@ class TestValidationAccuracy:
             y = comm.awgn(comm.gather(points, labels), 0.3, data)
             correct += np.count_nonzero(comm.decode(nn.mlp_forward(y, rx)[0]) == labels)
         assert acc == correct / 1000
+
+    def test_every_receiver_pass_has_one_row_count(self):
+        # validation decodes in ser's blocks: a 1000-label batch at M=128 is two
+        # 512-row passes, the second the last full window
+        rng = np.random.default_rng(19)
+        points, _ = comm.normalize_average(rng.normal(size=(128, 2)), 1.0)
+        rx = nn.build_mlp([2, 100, 100, 128], rng)
+        rows = []
+
+        def spy(X, mlp, **kw):
+            rows.append(len(X))
+            return forward(X, mlp, **kw)
+
+        forward = nn.mlp_forward
+        with mock.patch.object(nn, "mlp_forward", spy):
+            metrics.validation_accuracy(points, rx, 0.01, 3, 1000, np.random.default_rng(20))
+        assert rows == [512] * 6
+
+    def test_memory_bounded_by_block(self):
+        rng = np.random.default_rng(21)
+        points, _ = comm.normalize_average(rng.normal(size=(128, 2)), 1.0)
+        rx = nn.build_mlp([2, 100, 100, 128], rng)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            metrics.validation_accuracy(points, rx, 0.01, 2, 20000, np.random.default_rng(22))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 16 * 2**20
 
 
 def qpsk_ser_closed_form(snr_db):

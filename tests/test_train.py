@@ -1,4 +1,5 @@
 import collections
+import json
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from aecomm import comm, nn, train
+from aecomm import cli, comm, nn, train
 from helpers import e2e_loss_fn, gradient_check
 
 
@@ -216,8 +217,8 @@ class TestTrainRun:
 
     def test_serialization_roundtrip(self):
         result = train.train_run(small_config())
-        doc = train.run_result_to_dict(result)
-        rx = train.mlp_from_dict(doc["rx"])
+        doc = json.loads(json.dumps(train.run_result_to_dict(result)))
+        rx = cli._network(doc["rx"], [2, *result.config.rx_hidden, result.config.M])
         logits_a, _ = nn.mlp_forward(result.constellation, result.rx)
         logits_b, _ = nn.mlp_forward(np.asarray(doc["constellation"]), rx)
         assert np.array_equal(logits_a, logits_b)
