@@ -354,15 +354,38 @@ def cmd_compare(cfg: dict, out_dir: Path, workers: int) -> None:
                   f" {seconds:.1f} s, ETA {eta:.0f} s", file=sys.stderr)
 
 
+# run.json: cmd_train writes it (schema in the README), and cmd_ser reads it through _load_run
+def _activations(n_layers: int) -> list[str]:
+    """run.json's activation tags of an n_layers network, in nn's one layout: ReLU hidden, linear last."""
+    return ["relu"] * (n_layers - 1) + ["linear"]
+
+
+def _json_list(values) -> list:
+    """values as nested lists of floats, with None (JSON null) for each non-finite entry."""
+    a = np.asarray(values, dtype=float)
+    return np.where(np.isfinite(a), a, None).tolist()
+
+
+def _network_dict(mlp: nn.Mlp) -> dict:
+    return {"weights": [_json_list(W) for W in mlp.weights], "biases": [_json_list(b) for b in mlp.biases],
+            "activations": _activations(len(mlp.weights))}
+
+
 def cmd_train(cfg: dict, out_dir: Path, workers: int) -> None:
     config = _train_config(cfg)
     result, accuracy = _train_and_score(config, cfg)
-    doc = train.run_result_to_dict(result)
-    doc["validation_accuracy"] = accuracy
-    doc["validation"] = {
-        "n_batches": cfg["val_batches"],
-        "batch_size": cfg["val_batch_size"],
-        "seed": cfg["val_seed"],
+    # strict JSON: a diverged run's non-finite values become null, and diverged_at marks the run
+    doc = {
+        "config": dataclasses.asdict(config),
+        "steps_taken": len(result.loss_curve),
+        "diverged_at": result.diverged_at,
+        "loss_curve": _json_list(result.loss_curve),
+        "constellation": _json_list(result.constellation),
+        "validation_accuracy": accuracy,
+        "validation": {"n_batches": cfg["val_batches"], "batch_size": cfg["val_batch_size"],
+                       "seed": cfg["val_seed"]},
+        "tx": _network_dict(result.tx),
+        "rx": _network_dict(result.rx),
     }
     run_text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
     points = "".join(f"{i},{re:.17g},{im:.17g}\n" for i, (re, im) in enumerate(result.constellation))
@@ -371,9 +394,18 @@ def cmd_train(cfg: dict, out_dir: Path, workers: int) -> None:
     _write_meta(out_dir, "train", cfg)
 
 
+# the run.json keys ser does not read, each with the check of the value cmd_train writes;
+# loss_curve, steps_taken numbers or nulls, is checked in _load_run
+_RECORD_CHECKS = {
+    "steps_taken": _is_seed,
+    "diverged_at": lambda v: v is None or _is_int(v),
+    "validation_accuracy": _is_num,
+    "validation": lambda v: (isinstance(v, dict) and set(v) == {"n_batches", "batch_size", "seed"}
+                             and _is_pos_int(v["n_batches"]) and _is_pos_int(v["batch_size"])
+                             and _is_seed(v["seed"])),
+}
 # the keys of the run.json cmd_train writes, and of its config
-_RUN_KEYS = {"config", "steps_taken", "diverged_at", "loss_curve", "constellation", "validation_accuracy",
-             "validation", "tx", "rx"}
+_RUN_KEYS = {"config", "loss_curve", "constellation", "tx", "rx", *_RECORD_CHECKS}
 _RUN_CONFIG_SCHEMA = {key: (check, _REQUIRED) for key, check in _FIELD_CHECKS.items()}
 
 
@@ -386,31 +418,34 @@ def _floats(value, shape: tuple) -> np.ndarray:
 
 
 def _network(d, sizes: list[int]) -> nn.Mlp:
-    """run.json's network `d`, laid out as nn.build_mlp(sizes) lays it out: ReLU hidden, linear last."""
-    n = len(sizes) - 1
-    if set(d) != {"weights", "biases", "activations"} or d["activations"] != ["relu"] * (n - 1) + ["linear"]:
+    """run.json's network `d`, laid out as nn.build_mlp(sizes) lays it out."""
+    if set(d) != {"weights", "biases", "activations"} or d["activations"] != _activations(len(sizes) - 1):
         raise ValueError(f"expected a network of {sizes} as train builds it")
     weights = [_floats(W, shape) for W, shape in zip(d["weights"], zip(sizes, sizes[1:]), strict=True)]
     biases = [_floats(b, (size,)) for b, size in zip(d["biases"], sizes[1:], strict=True)]
-    return nn.Mlp(weights, biases, d["activations"])
+    return nn.Mlp(weights, biases)
 
 
 def _load_run(path: Path) -> tuple[train.TrainConfig, np.ndarray, nn.Mlp]:
     """The config, constellation and receiver of a run.json, checked against what cmd_train writes.
 
     A file cmd_train cannot have written is a ConfigError that names it: one
-    that is no JSON, a missing or extra key, an ill-typed value of a key read
-    here, networks that do not chain M -> 2 -> M through the config's hidden
-    sizes, or a constellation that is not, bit for bit, the transmitter's
-    alphabet output normalized to config.power. A diverged run, whose nulls
-    load as nan, is a RuntimeError; finiteness is tested before the
-    constellation is recomputed.
+    that is no JSON, a missing or extra key, an ill-typed value of any key
+    (see _RECORD_CHECKS for those ser does not read), networks that do not
+    chain M -> 2 -> M through the config's hidden sizes, or a constellation
+    that is not, bit for bit, the transmitter's alphabet output normalized to
+    config.power. A diverged run, whose nulls load as nan, is a RuntimeError;
+    finiteness is tested before the constellation is recomputed.
     """
     doc = _read_json(path, "run")
     try:
         keys = set(doc) if isinstance(doc, dict) else set()
         if keys != _RUN_KEYS:
             raise ValueError(f"missing or unknown keys {sorted(keys ^ _RUN_KEYS)}")
+        for key, check in _RECORD_CHECKS.items():
+            if not check(doc[key]):
+                raise ValueError(f"invalid value for {key!r}: {doc[key]!r}")
+        _floats(doc["loss_curve"], (doc["steps_taken"],))
         config = train.TrainConfig(**_check(doc["config"], _RUN_CONFIG_SCHEMA))
         tx = _network(doc["tx"], [config.M, *config.tx_hidden, 2])
         rx = _network(doc["rx"], [2, *config.rx_hidden, config.M])

@@ -1,11 +1,11 @@
 """Minimal dense-network machinery: forward/backward passes and Adam.
 
 Everything operates on float64 numpy arrays. An MLP is a flat list of dense
-layers with per-layer activation tags ('relu' or 'linear'); the forward pass
-returns a cache consumed by the backward pass, which writes the parameter
-gradients into the MLP's own gradient arrays. pack_params moves several MLPs'
-parameters and gradients into one contiguous vector each, which Adam updates
-in a fixed number of whole-vector operations.
+layers with one layout: every layer but the last applies a ReLU, and the last
+is linear. The forward pass returns a cache consumed by the backward pass,
+which writes the parameter gradients into the MLP's own gradient arrays.
+pack_params moves several MLPs' parameters and gradients into one contiguous
+vector each, which Adam updates in a fixed number of whole-vector operations.
 
 mlp_forward, mlp_backward and softmax_cross_entropy write their per-call
 arrays into a workspace: a plain dict, passed as `ws`, that keeps one entry
@@ -22,28 +22,23 @@ from typing import Sequence
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "linear")
-
 
 @dataclass
 class Mlp:
     """Dense network parameters: weights[k] is (in_dim, out_dim), biases[k] is (out_dim,).
 
-    grads holds one gradient array per parameter, ordered like param_list();
-    mlp_backward overwrites it on every call.
+    Every layer but the last applies a ReLU; the last is linear. grads, passed
+    by keyword only, holds one gradient array per parameter, ordered like
+    param_list(); mlp_backward overwrites it on every call.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activations: list[str]
-    grads: list[np.ndarray] | None = field(default=None, repr=False, compare=False)
+    grads: list[np.ndarray] | None = field(default=None, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
-        if not (len(self.weights) == len(self.biases) == len(self.activations)):
-            raise ValueError("weights, biases and activations must have equal length")
-        for act in self.activations:
-            if act not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {act!r}")
+        if len(self.weights) != len(self.biases):
+            raise ValueError("weights and biases must have equal length")
         for k in range(len(self.weights) - 1):
             if self.weights[k].shape[1] != self.weights[k + 1].shape[0]:
                 raise ValueError("consecutive layer dimensions do not chain")
@@ -79,14 +74,8 @@ def build_mlp(layer_sizes: Sequence[int], rng: np.random.Generator) -> Mlp:
     """Glorot-initialized MLP: ReLU on hidden layers, linear on the last."""
     if len(layer_sizes) < 2:
         raise ValueError("need at least input and output sizes")
-    weights, biases, acts = [], [], []
-    n_layers = len(layer_sizes) - 1
-    for k in range(n_layers):
-        W, b = glorot_init(layer_sizes[k], layer_sizes[k + 1], rng)
-        weights.append(W)
-        biases.append(b)
-        acts.append("linear" if k == n_layers - 1 else "relu")
-    return Mlp(weights, biases, acts)
+    layers = [glorot_init(m, n, rng) for m, n in zip(layer_sizes, layer_sizes[1:])]
+    return Mlp([W for W, _ in layers], [b for _, b in layers])
 
 
 def _buffers(ws: dict | None, key: tuple, build):
@@ -116,10 +105,11 @@ def mlp_forward(X: np.ndarray, mlp: Mlp, *, ws: dict | None = None) -> tuple[np.
             raise ValueError(f"index input out of range [0, {mlp.in_dim})")
     elif X.ndim != 2 or X.shape[1] != mlp.in_dim:
         raise ValueError(f"input has shape {X.shape}, expected (*, {mlp.in_dim})")
-    # per layer: the pre-activation Z and, on a ReLU layer, its activation
+    # per layer: the pre-activation Z and, on a hidden (ReLU) layer, its activation
+    last = len(mlp.weights) - 1
     bufs = _buffers(ws, ("forward", len(X)), lambda: [
-        (np.empty((len(X), n)), np.empty((len(X), n)) if act == "relu" else None)
-        for n, act in zip((W.shape[1] for W in mlp.weights), mlp.activations)])
+        (np.empty((len(X), W.shape[1])), np.empty((len(X), W.shape[1])) if k < last else None)
+        for k, W in enumerate(mlp.weights)])
     cache = []
     A = X
     for W, b, (Z, relu_out) in zip(mlp.weights, mlp.biases, bufs, strict=True):
@@ -146,11 +136,12 @@ def mlp_backward(
         raise ValueError("cache does not match network depth")
     if dY.shape != (cache[-1][1].shape):
         raise ValueError("dY shape does not match forward output")
-    # per layer: the ReLU mask and dZ (None if linear), then dA or the flat scatter index
+    # per layer: the ReLU mask and dZ (None on the linear last layer), then dA or the flat scatter index
+    last = len(cache) - 1
     bufs = _buffers(ws, ("backward", len(dY), cache[0][0].ndim), lambda: [
-        (*((np.empty(Z.shape, bool), np.empty(Z.shape)) if act == "relu" else (None, None)),
+        (*((np.empty(Z.shape, bool), np.empty(Z.shape)) if k < last else (None, None)),
          np.empty(Z.shape, np.intp) if A_in.ndim == 1 else np.empty((len(Z), A_in.shape[1])))
-        for (A_in, Z), act in zip(cache, mlp.activations)])
+        for k, (A_in, Z) in enumerate(cache)])
     grads = mlp.grads
     dA = dY
     for k in range(len(mlp.weights) - 1, -1, -1):

@@ -17,7 +17,7 @@ is the only varied factor.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,35 +206,4 @@ def train_run(config: TrainConfig) -> RunResult:
             f" data_seed={config.data_seed}, noise_seed={config.noise_seed}, step {len(loss_curve)}: {exc}"
         ) from exc
     return RunResult(config, loss_curve, tx, rx, constellation, diverged_at)
-
-
-def _json_list(values) -> list:
-    """values as nested lists of floats, with None (JSON null) for each non-finite entry."""
-    a = np.asarray(values, dtype=float)
-    return np.where(np.isfinite(a), a, None).tolist()
-
-
-def _mlp_to_dict(mlp: nn.Mlp) -> dict:
-    return {
-        "weights": [_json_list(W) for W in mlp.weights],
-        "biases": [_json_list(b) for b in mlp.biases],
-        "activations": mlp.activations,
-    }
-
-
-def run_result_to_dict(result: RunResult) -> dict:
-    """Strict-JSON view of a run (schema documented in the README).
-
-    A diverged run can hold NaN or infinite values, which strict JSON cannot
-    express; they become null, and diverged_at marks the run.
-    """
-    return {
-        "config": asdict(result.config),
-        "steps_taken": len(result.loss_curve),
-        "diverged_at": result.diverged_at,
-        "loss_curve": _json_list(result.loss_curve),
-        "constellation": _json_list(result.constellation),
-        "rx": _mlp_to_dict(result.rx),
-        "tx": _mlp_to_dict(result.tx),
-    }
 

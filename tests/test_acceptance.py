@@ -36,10 +36,9 @@ def relu_kink_margin(architecture, tx, rx, batch, noise, power):
     y = (comm.gather(points, batch) if architecture == "proposed" else points) + noise
     _, rx_cache = nn.mlp_forward(y, rx)
     margin = np.inf
-    for cache, mlp in ((tx_cache, tx), (rx_cache, rx)):
-        for (_, Z), act in zip(cache, mlp.activations):
-            if act == "relu":
-                margin = min(margin, float(np.min(np.abs(Z))))
+    for cache in (tx_cache, rx_cache):
+        for _, Z in cache[:-1]:  # every layer but the last is ReLU
+            margin = min(margin, float(np.min(np.abs(Z))))
     return margin
 
 

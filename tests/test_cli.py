@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aecomm import cli, metrics
+from aecomm import cli, metrics, train
 from helpers import load_constellation_csv
 
 
@@ -309,6 +309,19 @@ class TestTrainCommand:
         assert doc["loss_curve"][-1] is None
         assert None in doc["constellation"][0]
 
+    def test_serialization_roundtrip(self, tmp_path):
+        # ser's reader loads the constellation and receiver train_run returns, bit for bit
+        for arch in train.ARCHITECTURES:
+            payload = {**TRAIN_SMOKE, "data_budget": 640, "power": 2.5, "architecture": arch}
+            cfg = write_config(tmp_path, f"{arch}.json", payload)
+            assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / arch)]) == 0
+            config, points, rx = cli._load_run(tmp_path / arch / "run.json")
+            result = train.train_run(cli._train_config(payload))
+            assert config == result.config
+            assert np.array_equal(points, result.constellation)
+            for loaded, trained in zip(rx.param_list(), result.rx.param_list(), strict=True):
+                assert np.array_equal(loaded, trained)
+
     def test_writes_meta(self, tmp_path):
         cfg = write_config(tmp_path, "t.json", {**TRAIN_SMOKE, "data_budget": 640})
         for out in ("a", "b"):
@@ -580,6 +593,28 @@ def put(doc, path, value):
     at(doc, path[:-1])[path[-1]] = value
 
 
+# edits of the tiny run, each to a value train cannot have written: (path, new value of the old)
+RUN_EDITS = {
+    "8 points": (("constellation",), lambda v: v + v),
+    "2 points": (("constellation",), lambda v: v[:2]),
+    "power 100": (("config", "power"), lambda v: 100),
+    "loss_curve x": (("loss_curve",), lambda v: "x"),
+    "loss_curve item x": (("loss_curve",), lambda v: ["x", *v[1:]]),
+    "loss_curve one short": (("loss_curve",), lambda v: v[:-1]),
+    "steps_taken float": (("steps_taken",), float),
+    "steps_taken negative": (("steps_taken",), lambda v: -v),
+    "diverged_at x": (("diverged_at",), lambda v: "x"),
+    "diverged_at float": (("diverged_at",), lambda v: 1.0),
+    "validation_accuracy y": (("validation_accuracy",), lambda v: "y"),
+    "validation_accuracy nan": (("validation_accuracy",), lambda v: math.nan),
+    "validation extra key": (("validation",), lambda v: {**v, "extra": 1}),
+    "validation no seed": (("validation",), lambda v: {k: x for k, x in v.items() if k != "seed"}),
+    "validation batch_size 0": (("validation", "batch_size"), lambda v: 0),
+    "validation n_batches true": (("validation", "n_batches"), lambda v: True),
+    "validation seed -1": (("validation", "seed"), lambda v: -1),
+}
+
+
 class TestSerRunCheck:
     """ser scores only a run.json that train can have written; anything else exits 2."""
 
@@ -587,19 +622,16 @@ class TestSerRunCheck:
         doc, ser_csv = tiny_run
         assert ser_on(tmp_path, json.dumps(doc)) == (0, ser_csv)
 
-    @pytest.mark.parametrize("edit", ["8 points", "2 points", "power 100", "no rx", "not JSON"])
+    @pytest.mark.parametrize("edit", [*RUN_EDITS, "no rx", "not JSON"])
     def test_edited_run_exits_2(self, tiny_run, tmp_path, capsys, edit):
-        # the first three wrote a ser.csv with exit 0 before the check, and a run
+        # every edit of RUN_EDITS once wrote a ser.csv with exit 0, and a run
         # without rx failed with exit 1
         doc = copy.deepcopy(tiny_run[0])
-        if edit == "8 points":
-            doc["constellation"] += doc["constellation"]
-        elif edit == "2 points":
-            doc["constellation"] = doc["constellation"][:2]
-        elif edit == "power 100":
-            doc["config"]["power"] = 100
-        elif edit == "no rx":
+        if edit == "no rx":
             del doc["rx"]
+        elif edit in RUN_EDITS:
+            path, change = RUN_EDITS[edit]
+            put(doc, path, change(at(doc, path)))
         text = "{" if edit == "not JSON" else json.dumps(doc)
         capsys.readouterr()
         assert ser_on(tmp_path, text) == (2, None)

@@ -14,7 +14,7 @@ from helpers import norm_errors_vectorized, normalization_error_direct, qpsk_poi
 def tx_with_outputs(raw):
     """Single linear-layer transmitter whose full-alphabet output is `raw`."""
     raw = np.asarray(raw, dtype=float)
-    return nn.Mlp([raw.copy()], [np.zeros(2)], ["linear"])
+    return nn.Mlp([raw.copy()], [np.zeros(2)])
 
 
 def random_tx(M, seed, hidden=(20,)):
@@ -29,7 +29,7 @@ def alphabet_points(tx):
 
 def matched_filter(points):
     """Linear receiver with logits y @ points^T: ML, and minimum-distance, for equal-energy points."""
-    return nn.Mlp([points.T.copy()], [np.zeros(len(points))], ["linear"])
+    return nn.Mlp([points.T.copy()], [np.zeros(len(points))])
 
 
 class TestNormalizationError:

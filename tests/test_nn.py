@@ -39,15 +39,21 @@ class TestGlorotInit:
 
 class TestMlpForward:
     def test_identity_linear_layer(self):
-        mlp = nn.Mlp([np.eye(3)], [np.zeros(3)], ["linear"])
+        mlp = nn.Mlp([np.eye(3)], [np.zeros(3)])
         X = np.random.default_rng(0).normal(size=(4, 3))
         Y, _ = nn.mlp_forward(X, mlp)
         assert np.array_equal(Y, X)
 
     def test_relu_identity_layer(self):
-        mlp = nn.Mlp([np.eye(2)], [np.zeros(2)], ["relu"])
+        # the hidden ReLU zeroes the -1; the last layer is linear, so its bias's -1 stays
+        mlp = nn.Mlp([np.eye(2), np.eye(2)], [np.zeros(2), np.array([-1.0, 0.0])])
         Y, _ = nn.mlp_forward(np.array([[-1.0, 2.0]]), mlp)
-        assert np.array_equal(Y, [[0.0, 2.0]])
+        assert np.array_equal(Y, [[-1.0, 2.0]])
+
+    def test_grads_is_keyword_only(self):
+        # a third positional argument, such as a list of activation tags, is refused
+        with pytest.raises(TypeError):
+            nn.Mlp([np.eye(2)], [np.zeros(2)], ["linear"])
 
     def test_matches_naive_matmul(self):
         mlp = random_mlp([4, 5, 3], seed=11)
@@ -56,7 +62,7 @@ class TestMlpForward:
 
         # naive triple-loop re-implementation
         A = X
-        for W, b, act in zip(mlp.weights, mlp.biases, mlp.activations):
+        for layer, (W, b) in enumerate(zip(mlp.weights, mlp.biases)):
             Z = np.zeros((A.shape[0], W.shape[1]))
             for i in range(A.shape[0]):
                 for j in range(W.shape[1]):
@@ -64,7 +70,7 @@ class TestMlpForward:
                     for k in range(A.shape[1]):
                         acc += A[i, k] * W[k, j]
                     Z[i, j] = acc
-            A = np.maximum(Z, 0) if act == "relu" else Z
+            A = np.maximum(Z, 0) if layer < len(mlp.weights) - 1 else Z  # ReLU on every layer but the last
         assert np.allclose(Y, A, rtol=1e-12, atol=1e-12)
 
     def test_dimension_mismatch(self):

@@ -1,5 +1,4 @@
 import collections
-import json
 import tracemalloc
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from aecomm import cli, comm, nn, train
+from aecomm import comm, nn, train
 from helpers import e2e_loss_fn, gradient_check
 
 
@@ -214,14 +213,6 @@ class TestTrainRun:
         result = train.train_run(small_config(data_budget=8 * 50))
         assert result.diverged_at is None
         assert np.all(np.isfinite(result.loss_curve))
-
-    def test_serialization_roundtrip(self):
-        result = train.train_run(small_config())
-        doc = json.loads(json.dumps(train.run_result_to_dict(result)))
-        rx = cli._network(doc["rx"], [2, *result.config.rx_hidden, result.config.M])
-        logits_a, _ = nn.mlp_forward(result.constellation, result.rx)
-        logits_b, _ = nn.mlp_forward(np.asarray(doc["constellation"]), rx)
-        assert np.array_equal(logits_a, logits_b)
 
     def test_parameters_share_one_buffer(self, monkeypatch):
         # tx and rx train as views into the optimizer's single flat vector, so
