@@ -354,39 +354,44 @@ def cmd_compare(cfg: dict, out_dir: Path, workers: int) -> None:
                   f" {seconds:.1f} s, ETA {eta:.0f} s", file=sys.stderr)
 
 
-# run.json: cmd_train writes it (schema in the README), and cmd_ser reads it through _load_run
-def _activations(n_layers: int) -> list[str]:
-    """run.json's activation tags of an n_layers network, in nn's one layout: ReLU hidden, linear last."""
-    return ["relu"] * (n_layers - 1) + ["linear"]
-
-
 def _json_list(values) -> list:
     """values as nested lists of floats, with None (JSON null) for each non-finite entry."""
     a = np.asarray(values, dtype=float)
     return np.where(np.isfinite(a), a, None).tolist()
 
 
-def _network_dict(mlp: nn.Mlp) -> dict:
-    return {"weights": [_json_list(W) for W in mlp.weights], "biases": [_json_list(b) for b in mlp.biases],
-            "activations": _activations(len(mlp.weights))}
+# run.json's validation keys, each with the train config key it echoes (and checker)
+_VALIDATION_KEYS = {"n_batches": "val_batches", "batch_size": "val_batch_size", "seed": "val_seed"}
+_VALIDATION_SCHEMA = {key: (TRAIN_SCHEMA[val_key][0], _REQUIRED) for key, val_key in _VALIDATION_KEYS.items()}
+_RUN_CONFIG_SCHEMA = {key: (check, _REQUIRED) for key, check in _FIELD_CHECKS.items()}
+
+
+def _run_doc(config: train.TrainConfig, loss_curve, points, accuracy: float, validation, tx, rx) -> dict:
+    """run.json's document (schema in the README): cmd_train writes it, and _load_run
+    requires a file to equal it. Non-finite numbers render as null, diverged_at is the first
+    non-finite loss, and networks have nn's one layout. An accuracy outside [0, 1] has none."""
+    if not 0 <= accuracy <= 1:
+        raise ValueError(f"validation accuracy {accuracy!r} is outside [0, 1]")
+    diverged = np.flatnonzero(~np.isfinite(loss_curve))
+    return {
+        "config": dataclasses.asdict(config),
+        "steps_taken": len(loss_curve),
+        "diverged_at": int(diverged[0]) if len(diverged) else None,
+        "loss_curve": _json_list(loss_curve),
+        "constellation": _json_list(points),
+        "validation_accuracy": accuracy,
+        "validation": validation,
+        **{name: {"weights": [_json_list(W) for W in mlp.weights], "biases": [_json_list(b) for b in mlp.biases],
+                  "activations": ["relu"] * (len(mlp.weights) - 1) + ["linear"]}
+           for name, mlp in (("tx", tx), ("rx", rx))},
+    }
 
 
 def cmd_train(cfg: dict, out_dir: Path, workers: int) -> None:
     config = _train_config(cfg)
     result, accuracy = _train_and_score(config, cfg)
-    # strict JSON: a diverged run's non-finite values become null, and diverged_at marks the run
-    doc = {
-        "config": dataclasses.asdict(config),
-        "steps_taken": len(result.loss_curve),
-        "diverged_at": result.diverged_at,
-        "loss_curve": _json_list(result.loss_curve),
-        "constellation": _json_list(result.constellation),
-        "validation_accuracy": accuracy,
-        "validation": {"n_batches": cfg["val_batches"], "batch_size": cfg["val_batch_size"],
-                       "seed": cfg["val_seed"]},
-        "tx": _network_dict(result.tx),
-        "rx": _network_dict(result.rx),
-    }
+    validation = {key: cfg[val_key] for key, val_key in _VALIDATION_KEYS.items()}
+    doc = _run_doc(config, result.loss_curve, result.constellation, accuracy, validation, result.tx, result.rx)
     run_text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
     points = "".join(f"{i},{re:.17g},{im:.17g}\n" for i, (re, im) in enumerate(result.constellation))
     _write_whole(out_dir / "run.json", run_text)
@@ -394,68 +399,61 @@ def cmd_train(cfg: dict, out_dir: Path, workers: int) -> None:
     _write_meta(out_dir, "train", cfg)
 
 
-# the run.json keys ser does not read, each with the check of the value cmd_train writes;
-# loss_curve, steps_taken numbers or nulls, is checked in _load_run
-_RECORD_CHECKS = {
-    "steps_taken": _is_seed,
-    "diverged_at": lambda v: v is None or _is_int(v),
-    "validation_accuracy": _is_num,
-    "validation": lambda v: (isinstance(v, dict) and set(v) == {"n_batches", "batch_size", "seed"}
-                             and _is_pos_int(v["n_batches"]) and _is_pos_int(v["batch_size"])
-                             and _is_seed(v["seed"])),
-}
-# the keys of the run.json cmd_train writes, and of its config
-_RUN_KEYS = {"config", "loss_curve", "constellation", "tx", "rx", *_RECORD_CHECKS}
-_RUN_CONFIG_SCHEMA = {key: (check, _REQUIRED) for key, check in _FIELD_CHECKS.items()}
-
-
-def _floats(value, shape: tuple) -> np.ndarray:
-    """JSON lists of numbers or nulls (a diverged run's non-finite values) as a float array of `shape`."""
-    a = np.array(value, dtype=object)
-    if a.shape != shape or not all(v is None or _is_num(v) for v in a.flat):
-        raise ValueError(f"expected a {shape} array of numbers")
-    return a.astype(float)
+def _array(value, shape: tuple) -> np.ndarray:
+    """A run.json array as floats of `shape`; null loads as nan, and the re-render refuses other non-numbers."""
+    a = np.array(value, dtype=float)
+    if a.shape != shape:
+        raise ValueError(f"expected a {shape} array")
+    return a
 
 
 def _network(d, sizes: list[int]) -> nn.Mlp:
-    """run.json's network `d`, laid out as nn.build_mlp(sizes) lays it out."""
-    if set(d) != {"weights", "biases", "activations"} or d["activations"] != _activations(len(sizes) - 1):
-        raise ValueError(f"expected a network of {sizes} as train builds it")
-    weights = [_floats(W, shape) for W, shape in zip(d["weights"], zip(sizes, sizes[1:]), strict=True)]
-    biases = [_floats(b, (size,)) for b, size in zip(d["biases"], sizes[1:], strict=True)]
-    return nn.Mlp(weights, biases)
+    """run.json's network `d`, with the layer shapes nn.build_mlp(sizes) gives."""
+    shapes = list(zip(sizes, sizes[1:]))
+    return nn.Mlp([_array(W, shape) for W, shape in zip(d["weights"], shapes, strict=True)],
+                  [_array(b, shape[1:]) for b, shape in zip(d["biases"], shapes, strict=True)])
+
+
+def _same(a, b) -> bool:
+    """Whether JSON values a and b are equal in value and type (1, 1.0 and true differ); a tuple is a list."""
+    a = list(a) if isinstance(a, tuple) else a
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    if not isinstance(a, list):
+        return a == b
+    if list(map(type, a)) != list(map(type, b)):  # item types and lengths; == is then exact on scalars
+        return False
+    return all(map(_same, a, b)) if a and isinstance(a[0], (list, dict)) else a == b
 
 
 def _load_run(path: Path) -> tuple[train.TrainConfig, np.ndarray, nn.Mlp]:
-    """The config, constellation and receiver of a run.json, checked against what cmd_train writes.
-
-    A file cmd_train cannot have written is a ConfigError that names it: one
-    that is no JSON, a missing or extra key, an ill-typed value of any key
-    (see _RECORD_CHECKS for those ser does not read), networks that do not
-    chain M -> 2 -> M through the config's hidden sizes, or a constellation
-    that is not, bit for bit, the transmitter's alphabet output normalized to
-    config.power. A diverged run, whose nulls load as nan, is a RuntimeError;
-    finiteness is tested before the constellation is recomputed.
-    """
+    """The config, constellation and receiver of a run.json, which must equal, as JSON values,
+    _run_doc of the values parsed from it (a loss curve finite but for its last entry) and of
+    the constellation recomputed from tx. A file that fails is a ConfigError that names it; a
+    null (nan) in the stored constellation or a network, a diverged run, is a RuntimeError."""
     doc = _read_json(path, "run")
     try:
-        keys = set(doc) if isinstance(doc, dict) else set()
-        if keys != _RUN_KEYS:
-            raise ValueError(f"missing or unknown keys {sorted(keys ^ _RUN_KEYS)}")
-        for key, check in _RECORD_CHECKS.items():
-            if not check(doc[key]):
-                raise ValueError(f"invalid value for {key!r}: {doc[key]!r}")
-        _floats(doc["loss_curve"], (doc["steps_taken"],))
         config = train.TrainConfig(**_check(doc["config"], _RUN_CONFIG_SCHEMA))
+        validation = _check(doc["validation"], _VALIDATION_SCHEMA)
         tx = _network(doc["tx"], [config.M, *config.tx_hidden, 2])
         rx = _network(doc["rx"], [2, *config.rx_hidden, config.M])
-        points = _floats(doc["constellation"], (config.M, 2))
-        if not all(np.isfinite(a).all() for a in (points, *tx.param_list(), *rx.param_list())):
+        stored = _array(doc["constellation"], (config.M, 2))
+        losses = _array(doc["loss_curve"], (len(doc["loss_curve"]),))
+        if not np.isfinite(losses[:-1]).all():
+            raise ValueError("a loss before the last is not finite")
+        if not all(np.isfinite(a).all() for a in (stored, *tx.param_list(), *rx.param_list())):
             raise RuntimeError(f"{path}: the constellation or a network is not finite (a diverged run)")
-        raw, _ = nn.mlp_forward(np.arange(config.M), tx)
-        if not np.array_equal(comm.normalize_average(raw, config.power)[0], points):
-            raise ValueError("the constellation is not the transmitter's alphabet output at config.power")
-    except (ConfigError, ValueError, TypeError) as exc:
+        points, _ = comm.normalize_average(nn.mlp_forward(np.arange(config.M), tx)[0], config.power)
+        expected = _run_doc(config, losses, points, float(doc["validation_accuracy"]), validation, tx, rx)
+        differ = sorted(key for key in expected.keys() | doc.keys()
+                        if not _same(expected.get(key, _REQUIRED), doc.get(key, _REQUIRED)))
+        if differ:
+            raise ValueError(f"keys {differ} differ from what train writes for this config and these networks")
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (ConfigError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return config, points, rx
 

@@ -83,12 +83,10 @@ class TrainConfig:
 
 @dataclass
 class RunResult:
-    config: TrainConfig
-    loss_curve: list[float]
+    loss_curve: list[float]  # ends at the first non-finite loss, if any
     tx: nn.Mlp
     rx: nn.Mlp
     constellation: np.ndarray  # M x 2, alphabet-normalized
-    diverged_at: int | None = None
 
 
 def init_model(config: TrainConfig) -> tuple[nn.Mlp, nn.Mlp]:
@@ -186,17 +184,15 @@ def train_run(config: TrainConfig) -> RunResult:
     ws: dict = {}
 
     loss_curve: list[float] = []
-    diverged_at = None
     # one draw for all batches and one for all noise; they equal one draw per
     # step, generator state included (the batches at a power-of-2 M)
     batches = sample_batch(config.M, config.n_steps * config.batch_size, data_rng)
     noise = comm.awgn_noise((config.n_steps, config.batch_size, 2), config.sigma2, noise_rng)
     try:
-        for step, (batch, step_noise) in enumerate(zip(batches.reshape(config.n_steps, -1), noise)):
+        for batch, step_noise in zip(batches.reshape(config.n_steps, -1), noise):
             loss = train_step(tx, rx, optimizer, grads, batch, step_noise, config, ws=ws)
             loss_curve.append(loss)
             if not math.isfinite(loss):
-                diverged_at = step
                 break
         raw, _ = nn.mlp_forward(np.arange(config.M), tx)
         constellation, _ = comm.normalize_average(raw, config.power)
@@ -205,5 +201,5 @@ def train_run(config: TrainConfig) -> RunResult:
             f"{config.architecture} run at Bs={config.batch_size}, init_seed={config.init_seed},"
             f" data_seed={config.data_seed}, noise_seed={config.noise_seed}, step {len(loss_curve)}: {exc}"
         ) from exc
-    return RunResult(config, loss_curve, tx, rx, constellation, diverged_at)
+    return RunResult(loss_curve, tx, rx, constellation)
 

@@ -316,8 +316,9 @@ class TestTrainCommand:
             cfg = write_config(tmp_path, f"{arch}.json", payload)
             assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / arch)]) == 0
             config, points, rx = cli._load_run(tmp_path / arch / "run.json")
-            result = train.train_run(cli._train_config(payload))
-            assert config == result.config
+            trained_config = cli._train_config(payload)
+            result = train.train_run(trained_config)
+            assert config == trained_config
             assert np.array_equal(points, result.constellation)
             for loaded, trained in zip(rx.param_list(), result.rx.param_list(), strict=True):
                 assert np.array_equal(loaded, trained)
@@ -593,7 +594,8 @@ def put(doc, path, value):
     at(doc, path[:-1])[path[-1]] = value
 
 
-# edits of the tiny run, each to a value train cannot have written: (path, new value of the old)
+# edits of the tiny run, each to a value train cannot have written: (path, new value of the old),
+# with the empty path for the whole document
 RUN_EDITS = {
     "8 points": (("constellation",), lambda v: v + v),
     "2 points": (("constellation",), lambda v: v[:2]),
@@ -612,6 +614,15 @@ RUN_EDITS = {
     "validation batch_size 0": (("validation", "batch_size"), lambda v: 0),
     "validation n_batches true": (("validation", "n_batches"), lambda v: True),
     "validation seed -1": (("validation", "seed"), lambda v: -1),
+    "diverged_at 0": (("diverged_at",), lambda v: 0),
+    "loss_curve null inside": (("loss_curve",), lambda v: [v[0], None, *v[2:]]),
+    "loss_curve null last": (("loss_curve",), lambda v: [*v[:-1], None]),
+    "validation_accuracy 5": (("validation_accuracy",), lambda v: 5.0),
+    "validation_accuracy -1": (("validation_accuracy",), lambda v: -1.0),
+    # a naive round trip through numpy arrays lets these three through
+    "loss_curve nested": (("loss_curve",), lambda v: [[x] for x in v]),
+    "loss_curve wrapped": ((), lambda d: {**d, "loss_curve": [d["loss_curve"]], "steps_taken": 1}),
+    "loss_curve true": (("loss_curve",), lambda v: [True, *v[1:]]),
 }
 
 
@@ -619,8 +630,12 @@ class TestSerRunCheck:
     """ser scores only a run.json that train can have written; anything else exits 2."""
 
     def test_intact_file_keeps_its_bytes(self, tiny_run, tmp_path):
+        # the file must equal train's document as JSON values, not as text
         doc, ser_csv = tiny_run
-        assert ser_on(tmp_path, json.dumps(doc)) == (0, ser_csv)
+        for k, text in enumerate([json.dumps(doc), json.dumps(doc, indent=2),
+                                  json.dumps(dict(reversed(doc.items())))]):
+            (tmp_path / str(k)).mkdir()
+            assert ser_on(tmp_path / str(k), text) == (0, ser_csv)
 
     @pytest.mark.parametrize("edit", [*RUN_EDITS, "no rx", "not JSON"])
     def test_edited_run_exits_2(self, tiny_run, tmp_path, capsys, edit):
@@ -631,7 +646,10 @@ class TestSerRunCheck:
             del doc["rx"]
         elif edit in RUN_EDITS:
             path, change = RUN_EDITS[edit]
-            put(doc, path, change(at(doc, path)))
+            if path:
+                put(doc, path, change(at(doc, path)))
+            else:
+                doc = change(doc)
         text = "{" if edit == "not JSON" else json.dumps(doc)
         capsys.readouterr()
         assert ser_on(tmp_path, text) == (2, None)

@@ -1,4 +1,5 @@
 import collections
+import math
 import tracemalloc
 
 import numpy as np
@@ -206,12 +207,11 @@ class TestTrainRun:
                     result = train.train_run(config)
                     raw, _ = nn.mlp_forward(np.arange(config.M), result.tx)
                     expected, _ = comm.normalize_average(raw, config.power)
-                assert (result.diverged_at is None) == (config.lr < 1)
+                assert math.isfinite(result.loss_curve[-1]) == (config.lr < 1)
                 assert np.array_equal(result.constellation, expected, equal_nan=True)
 
     def test_loss_finite_throughout(self):
         result = train.train_run(small_config(data_budget=8 * 50))
-        assert result.diverged_at is None
         assert np.all(np.isfinite(result.loss_curve))
 
     def test_parameters_share_one_buffer(self, monkeypatch):
