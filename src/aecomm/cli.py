@@ -165,13 +165,11 @@ _TYPE_CHECKS = {
     (int, ...): _list_of(_is_int),  # tuple[int, ...]
     (int, type(None)): lambda v: v is None or _is_int(v),  # int | None
 }
-_FIELD_CHECKS = {key: _TYPE_CHECKS[typing.get_args(hint) or hint]
-                 for key, hint in typing.get_type_hints(train.TrainConfig).items()}
-_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(train.TrainConfig)
-                   if f.name not in ("beta1", "beta2", "epsilon")}  # Adam's are no config keys
+_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(train.TrainConfig)}
 
 TRAIN_SCHEMA = {
-    **{key: (_FIELD_CHECKS[key], default) for key, default in _TRAIN_DEFAULTS.items()},
+    **{key: (_TYPE_CHECKS[typing.get_args(hint) or hint], _TRAIN_DEFAULTS[key])
+       for key, hint in typing.get_type_hints(train.TrainConfig).items()},
     "val_batches": (_is_pos_int, 30),
     "val_batch_size": (_is_pos_int, 1000),
     "val_seed": (_is_seed, 0),
@@ -360,29 +358,23 @@ def _json_list(values) -> list:
     return np.where(np.isfinite(a), a, None).tolist()
 
 
-# run.json's validation keys, each with the train config key it echoes (and checker)
-_VALIDATION_KEYS = {"n_batches": "val_batches", "batch_size": "val_batch_size", "seed": "val_seed"}
-_VALIDATION_SCHEMA = {key: (TRAIN_SCHEMA[val_key][0], _REQUIRED) for key, val_key in _VALIDATION_KEYS.items()}
-_RUN_CONFIG_SCHEMA = {key: (check, _REQUIRED) for key, check in _FIELD_CHECKS.items()}
+# run.json's config: every train key, none defaulted
+_RUN_CONFIG_SCHEMA = {key: (check, _REQUIRED) for key, (check, _) in TRAIN_SCHEMA.items()}
 
 
-def _run_doc(config: train.TrainConfig, loss_curve, points, accuracy: float, validation, tx, rx) -> dict:
+def _run_doc(cfg: dict, config: train.TrainConfig, loss_curve, points, accuracy: float, tx, rx) -> dict:
     """run.json's document (schema in the README): cmd_train writes it, and _load_run
-    requires a file to equal it. Non-finite numbers render as null, diverged_at is the first
-    non-finite loss, and networks have nn's one layout. An accuracy outside [0, 1] has none."""
+    requires a file to equal it. Its config is the train command's config `cfg` with
+    config's resolved fields (noise_seed), non-finite numbers render as null, and networks
+    have nn's one layout. An accuracy outside [0, 1] has none."""
     if not 0 <= accuracy <= 1:
         raise ValueError(f"validation accuracy {accuracy!r} is outside [0, 1]")
-    diverged = np.flatnonzero(~np.isfinite(loss_curve))
     return {
-        "config": dataclasses.asdict(config),
-        "steps_taken": len(loss_curve),
-        "diverged_at": int(diverged[0]) if len(diverged) else None,
+        "config": {**cfg, **dataclasses.asdict(config)},
         "loss_curve": _json_list(loss_curve),
         "constellation": _json_list(points),
         "validation_accuracy": accuracy,
-        "validation": validation,
-        **{name: {"weights": [_json_list(W) for W in mlp.weights], "biases": [_json_list(b) for b in mlp.biases],
-                  "activations": ["relu"] * (len(mlp.weights) - 1) + ["linear"]}
+        **{name: {"weights": [_json_list(W) for W in mlp.weights], "biases": [_json_list(b) for b in mlp.biases]}
            for name, mlp in (("tx", tx), ("rx", rx))},
     }
 
@@ -390,8 +382,7 @@ def _run_doc(config: train.TrainConfig, loss_curve, points, accuracy: float, val
 def cmd_train(cfg: dict, out_dir: Path, workers: int) -> None:
     config = _train_config(cfg)
     result, accuracy = _train_and_score(config, cfg)
-    validation = {key: cfg[val_key] for key, val_key in _VALIDATION_KEYS.items()}
-    doc = _run_doc(config, result.loss_curve, result.constellation, accuracy, validation, result.tx, result.rx)
+    doc = _run_doc(cfg, config, result.loss_curve, result.constellation, accuracy, result.tx, result.rx)
     run_text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
     points = "".join(f"{i},{re:.17g},{im:.17g}\n" for i, (re, im) in enumerate(result.constellation))
     _write_whole(out_dir / "run.json", run_text)
@@ -430,23 +421,26 @@ def _same(a, b) -> bool:
 
 def _load_run(path: Path) -> tuple[train.TrainConfig, np.ndarray, nn.Mlp]:
     """The config, constellation and receiver of a run.json, which must equal, as JSON values,
-    _run_doc of the values parsed from it (a loss curve finite but for its last entry) and of
-    the constellation recomputed from tx. A file that fails is a ConfigError that names it; a
-    null (nan) in the stored constellation or a network, a diverged run, is a RuntimeError."""
+    _run_doc of the values parsed from it and of the constellation recomputed from tx. Its loss
+    curve holds config.n_steps losses, or fewer ending in null (a diverged run), all finite
+    before the last. A file that fails is a ConfigError that names it; a null (nan) in the
+    stored constellation or a network, a diverged run, is a RuntimeError."""
     doc = _read_json(path, "run")
     try:
-        config = train.TrainConfig(**_check(doc["config"], _RUN_CONFIG_SCHEMA))
-        validation = _check(doc["validation"], _VALIDATION_SCHEMA)
+        cfg = _check(doc["config"], _RUN_CONFIG_SCHEMA)
+        config = _train_config(cfg)
         tx = _network(doc["tx"], [config.M, *config.tx_hidden, 2])
         rx = _network(doc["rx"], [2, *config.rx_hidden, config.M])
         stored = _array(doc["constellation"], (config.M, 2))
         losses = _array(doc["loss_curve"], (len(doc["loss_curve"]),))
-        if not np.isfinite(losses[:-1]).all():
-            raise ValueError("a loss before the last is not finite")
+        if not (0 < len(losses) <= config.n_steps and np.isfinite(losses[:-1]).all()
+                and (len(losses) == config.n_steps or np.isnan(losses[-1]))):
+            raise ValueError(f"loss_curve must hold {config.n_steps} losses, or fewer ending in null,"
+                             " all finite before the last")
         if not all(np.isfinite(a).all() for a in (stored, *tx.param_list(), *rx.param_list())):
             raise RuntimeError(f"{path}: the constellation or a network is not finite (a diverged run)")
         points, _ = comm.normalize_average(nn.mlp_forward(np.arange(config.M), tx)[0], config.power)
-        expected = _run_doc(config, losses, points, float(doc["validation_accuracy"]), validation, tx, rx)
+        expected = _run_doc(cfg, config, losses, points, float(doc["validation_accuracy"]), tx, rx)
         differ = sorted(key for key in expected.keys() | doc.keys()
                         if not _same(expected.get(key, _REQUIRED), doc.get(key, _REQUIRED)))
         if differ:

@@ -38,9 +38,6 @@ class TrainConfig:
     tx_hidden: tuple[int, ...] = (100, 100)
     rx_hidden: tuple[int, ...] = (100, 100)
     lr: float = 0.008
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     data_budget: int = 76800
     init_seed: int = 0
     data_seed: int = 0
@@ -172,13 +169,7 @@ def train_run(config: TrainConfig) -> RunResult:
     """
     tx, rx = init_model(config)
     params, grads = nn.pack_params(tx, rx)
-    optimizer = nn.Adam(
-        [params],
-        lr=config.lr,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-    )
+    optimizer = nn.Adam([params], lr=config.lr)
     data_rng = np.random.default_rng(config.data_seed)
     noise_rng = np.random.default_rng(config.noise_seed)
     ws: dict = {}

@@ -3,13 +3,16 @@ import ctypes
 import dataclasses
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from aecomm import cli, metrics, train
@@ -183,6 +186,25 @@ class TestConfigValidation:
         assert "failure" in capsys.readouterr().err
 
 
+class TestConsoleScript:
+    def test_ci_console_script_passes(self, tmp_path):
+        # CI runs ci/console_script.sh against the installed aecomm entry point;
+        # here an aecomm on PATH runs this checkout's cli, so the script's
+        # commands and checks run with tier-1
+        repo = Path(__file__).resolve().parents[1]
+        shims, work = tmp_path / "bin", tmp_path / "work"
+        shims.mkdir()
+        work.mkdir()
+        for name, args in (("aecomm", "-m aecomm.cli "), ("python", "")):
+            (shims / name).write_text(f'#!/bin/sh\nexec "{sys.executable}" {args}"$@"\n')
+            (shims / name).chmod(0o755)
+        env = {**os.environ, "PATH": f"{shims}{os.pathsep}{os.environ['PATH']}",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(["bash", str(repo / "ci" / "console_script.sh")], cwd=work, env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stdout + done.stderr
+
+
 NORM_ERROR_TINY = {"M_list": [4], "batch_sizes": [4], "n_inits": 1, "n_batches": 2, "tx_hidden": [4]}
 
 
@@ -275,7 +297,10 @@ class TestTrainCommand:
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         doc = json.loads((tmp_path / "o" / "run.json").read_text())
         assert doc["validation_accuracy"] == 1.0
-        assert doc["steps_taken"] == 25600 // 64
+        assert len(doc["loss_curve"]) == 25600 // 64
+        assert sorted(doc) == ["config", "constellation", "loss_curve", "rx", "tx", "validation_accuracy"]
+        # the effective train config, noise_seed resolved to data_seed
+        assert doc["config"] == {**cli._check(TRAIN_SMOKE, cli.TRAIN_SCHEMA), "noise_seed": 0}
 
     def test_exported_constellation_power(self, tmp_path):
         cfg = write_config(tmp_path, "t.json", TRAIN_SMOKE)
@@ -304,8 +329,7 @@ class TestTrainCommand:
             raise ValueError(f"non-standard JSON constant {token}")
 
         doc = json.loads((tmp_path / "o" / "run.json").read_text(), parse_constant=reject)
-        assert doc["diverged_at"] is not None
-        assert doc["steps_taken"] == doc["diverged_at"] + 1 == len(doc["loss_curve"])
+        assert len(doc["loss_curve"]) < 80 // 8  # n_steps
         assert doc["loss_curve"][-1] is None
         assert None in doc["constellation"][0]
 
@@ -594,6 +618,23 @@ def put(doc, path, value):
     at(doc, path[:-1])[path[-1]] = value
 
 
+def previous_format(doc):
+    """doc as train wrote it before run.json dropped its restated keys: Adam's constants in the
+    config and the val_* keys in a validation object, steps_taken, diverged_at and activations."""
+    cfg = doc["config"]
+    return {
+        **doc,
+        "config": {**{k: v for k, v in cfg.items() if not k.startswith("val_")},
+                   "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8},
+        "steps_taken": len(doc["loss_curve"]),
+        "diverged_at": None,
+        "validation": {"n_batches": cfg["val_batches"], "batch_size": cfg["val_batch_size"],
+                       "seed": cfg["val_seed"]},
+        **{net: {**doc[net], "activations": ["relu"] * (len(doc[net]["weights"]) - 1) + ["linear"]}
+           for net in ("tx", "rx")},
+    }
+
+
 # edits of the tiny run, each to a value train cannot have written: (path, new value of the old),
 # with the empty path for the whole document
 RUN_EDITS = {
@@ -603,26 +644,25 @@ RUN_EDITS = {
     "loss_curve x": (("loss_curve",), lambda v: "x"),
     "loss_curve item x": (("loss_curve",), lambda v: ["x", *v[1:]]),
     "loss_curve one short": (("loss_curve",), lambda v: v[:-1]),
-    "steps_taken float": (("steps_taken",), float),
-    "steps_taken negative": (("steps_taken",), lambda v: -v),
-    "diverged_at x": (("diverged_at",), lambda v: "x"),
-    "diverged_at float": (("diverged_at",), lambda v: 1.0),
     "validation_accuracy y": (("validation_accuracy",), lambda v: "y"),
     "validation_accuracy nan": (("validation_accuracy",), lambda v: math.nan),
-    "validation extra key": (("validation",), lambda v: {**v, "extra": 1}),
-    "validation no seed": (("validation",), lambda v: {k: x for k, x in v.items() if k != "seed"}),
-    "validation batch_size 0": (("validation", "batch_size"), lambda v: 0),
-    "validation n_batches true": (("validation", "n_batches"), lambda v: True),
-    "validation seed -1": (("validation", "seed"), lambda v: -1),
-    "diverged_at 0": (("diverged_at",), lambda v: 0),
+    "validation extra key": (("config",), lambda v: {**v, "val_extra": 1}),
+    "validation no seed": (("config",), lambda v: {k: x for k, x in v.items() if k != "val_seed"}),
+    "validation batch_size 0": (("config", "val_batch_size"), lambda v: 0),
+    "validation n_batches true": (("config", "val_batches"), lambda v: True),
+    "validation seed -1": (("config", "val_seed"), lambda v: -1),
     "loss_curve null inside": (("loss_curve",), lambda v: [v[0], None, *v[2:]]),
-    "loss_curve null last": (("loss_curve",), lambda v: [*v[:-1], None]),
     "validation_accuracy 5": (("validation_accuracy",), lambda v: 5.0),
     "validation_accuracy -1": (("validation_accuracy",), lambda v: -1.0),
     # a naive round trip through numpy arrays lets these three through
     "loss_curve nested": (("loss_curve",), lambda v: [[x] for x in v]),
-    "loss_curve wrapped": ((), lambda d: {**d, "loss_curve": [d["loss_curve"]], "steps_taken": 1}),
+    "loss_curve wrapped": (("loss_curve",), lambda v: [v]),
     "loss_curve true": (("loss_curve",), lambda v: [True, *v[1:]]),
+    # a finite run holds all n_steps losses, and Adam's constants are no config keys
+    "loss_curve cut to 3": (("loss_curve",), lambda v: v[:3]),
+    "loss_curve empty": (("loss_curve",), lambda v: []),
+    "config beta1 0.5": (("config",), lambda v: {**v, "beta1": 0.5}),
+    "previous format": ((), previous_format),
 }
 
 
@@ -687,3 +727,39 @@ class TestSerRunCheck:
             doc["config"]["power"] = data.draw(st.sampled_from([0.5, 2, 2.5, 100.0]))
         with tempfile.TemporaryDirectory() as work:
             assert ser_on(Path(work), json.dumps(doc)) == (2, None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_run_train_writes_loads(self, data):
+        # ser reads every finite run of train back with the config train ran,
+        # and fails every other run (a diverged one) with exit 1
+        batch_size = data.draw(st.integers(1, 8))
+        payload = data.draw(st.fixed_dictionaries({
+            "M": st.sampled_from([2, 4, 8]),
+            "batch_size": st.just(batch_size),
+            "data_budget": st.integers(batch_size, 12 * batch_size),
+            "tx_hidden": st.lists(st.integers(2, 8), min_size=1, max_size=2),
+            "rx_hidden": st.lists(st.integers(2, 8), min_size=1, max_size=2),
+            "power": st.one_of(st.integers(1, 3), st.floats(0.25, 4)),
+            "lr": st.sampled_from([0.008, 0.1, 1e100]),
+            "init_seed": st.integers(0, 9),
+        }, optional={
+            "noise_seed": st.integers(0, 9),
+            "val_batches": st.integers(1, 2),
+            "val_batch_size": st.integers(1, 50),
+            "val_seed": st.integers(0, 9),
+        }))
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            cfg = write_config(work, "t.json", payload)
+            with np.errstate(all="ignore"):  # a diverging lr overflows
+                code = cli.main(["train", "--config", cfg, "--out", str(work / "run")])
+                assume(code == 0)  # not a run whose transmitter outputs all zeros
+                text = (work / "run" / "run.json").read_text()
+                finite = "null" not in text  # train writes null only for a non-finite number
+                event("finite run" if finite else "diverged run")
+                if finite:
+                    config, _, _ = cli._load_run(work / "run" / "run.json")
+                    assert config == cli._train_config(payload)
+                else:
+                    assert ser_on(work, text) == (1, None)
