@@ -2,7 +2,9 @@
 # Runs the `aecomm` console script found on PATH, in the current directory,
 # which should be empty: a train, a ser on it (exit 0), a ser on an indent=2
 # copy of the run (exit 0, the same ser.csv bytes: ser compares JSON values,
-# not text), a ser on a diverged run (exit 1, no ser.csv), a ser on copies of
+# not text), a ser on a diverged run (exit 1, no ser.csv), a ser on a run
+# whose transmitter power overflows while its losses stay finite (exit 1, no
+# ser.csv: the overflow stops the run with a null loss), a ser on copies of
 # the run with another config.power, with loss_curve "x" and with loss_curve
 # cut to its first 3 entries (each exit 2, no ser.csv), a tiny norm-error, a
 # 2-cell compare whose copy, cut mid-row, resumes to the same bytes, and a copy
@@ -11,6 +13,7 @@
 set -e
 echo '{"M": 4, "batch_size": 8, "data_budget": 800, "tx_hidden": [8], "rx_hidden": [8], "val_batches": 1, "val_batch_size": 100}' > train.json
 echo '{"M": 4, "batch_size": 8, "data_budget": 80, "lr": 1e100, "tx_hidden": [8], "rx_hidden": [8], "val_batches": 1, "val_batch_size": 10}' > diverged.json
+echo '{"M": 2, "batch_size": 1, "data_budget": 3, "lr": 1e100, "tx_hidden": [4], "rx_hidden": [4], "val_batches": 1, "val_batch_size": 10}' > overflow.json
 echo '{"run_json": "run/run.json", "n_symbols": 1000}' > ser.json
 echo '{"run_json": "diverged/run.json", "n_symbols": 1000}' > ser_diverged.json
 aecomm train --config train.json --out run
@@ -24,6 +27,11 @@ aecomm train --config diverged.json --out diverged
 rc=0; aecomm ser --config ser_diverged.json --out ser_diverged || rc=$?
 test "$rc" -eq 1
 test ! -e ser_diverged/ser.csv
+aecomm train --config overflow.json --out overflow
+echo '{"run_json": "overflow/run.json", "n_symbols": 1000}' > ser_overflow.json
+rc=0; aecomm ser --config ser_overflow.json --out ser_overflow || rc=$?
+test "$rc" -eq 1
+test ! -e ser_overflow/ser.csv
 python -c "import json; d = json.load(open('run/run.json')); d['config']['power'] = 100; json.dump(d, open('power100.json', 'w'))"
 echo '{"run_json": "power100.json", "n_symbols": 1000}' > ser_power100.json
 rc=0; aecomm ser --config ser_power100.json --out ser_power100 || rc=$?

@@ -1,5 +1,5 @@
-"""Communication-specific layers: power normalization, batch slicing, the AWGN
-channel, and hard decoding.
+"""Communication-specific layers: the uniform message source, power
+normalization, batch slicing, the AWGN channel, and hard decoding.
 
 Symbols live in R^2 (one complex value per row). Power conventions: P is the
 total symbol energy, sigma2 the total complex noise variance (split sigma2/2
@@ -9,6 +9,7 @@ per real component), and SNR = P / sigma2.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -49,12 +50,13 @@ def power_from_eb(M: int, eb: float) -> float:
 def normalize_average(X: np.ndarray, power: float) -> tuple[np.ndarray, float]:
     """Scale X so the mean row power equals `power`.
 
-    Returns (X', s) with X' = s * X and s = sqrt(N * power / sum_j |x_j|^2).
+    Returns (X', s) with X' = s * X and s = sqrt(N * power / sum_j |x_j|^2),
+    or s = nan when that sum overflows (a finite X with no finite scale).
     """
     q = float(np.add.reduce(X * X, axis=None))
     if q == 0.0:
         raise DegenerateInputError("all-zero input cannot satisfy an average power constraint")
-    s = np.sqrt(X.shape[0] * power / q)
+    s = np.sqrt(X.shape[0] * power / q) if q < math.inf else math.nan
     return s * X, s
 
 
@@ -88,6 +90,35 @@ def gather_backward(dX_batch: np.ndarray, indices: np.ndarray, n_rows: int) -> n
     dX_all = np.zeros((n_rows, dX_batch.shape[1]))
     np.add.at(dX_all, indices, dX_batch)
     return dX_all
+
+
+def draw_indices(rng: np.random.Generator, M: int, size) -> np.ndarray:
+    """rng.integers(0, M, size=size), read off PCG64's raw stream; same values, same state.
+
+    For a power-of-2 M <= 2**32, Lemire's method in integers never rejects, so
+    each value is the top log2(M) bits of one next_uint32: the low, then the
+    high half of a raw 64-bit draw. Any other case goes to integers.
+    """
+    bg = rng.bit_generator
+    shape = (size,) if np.ndim(size) == 0 else tuple(size)
+    n = math.prod(shape)
+    if (type(bg) is not np.random.PCG64 or sys.byteorder != "little"
+            or not 2 <= M <= 1 << 32 or M & (M - 1) or n == 0):
+        return rng.integers(0, M, size=size)
+    shift = 33 - int(M).bit_length()
+    state = bg.state
+    carry = state["has_uint32"]
+    halves = bg.random_raw((n - carry + 1) // 2).view(np.uint32)
+    out = np.empty(n, dtype=np.int64)
+    out[:carry] = state["uinteger"] >> shift
+    np.right_shift(halves[:n - carry], shift, out=out[carry:])
+    # integers leaves its last raw high half in uinteger, unread after an odd count
+    state = bg.state
+    state["has_uint32"] = (n - carry) % 2
+    if len(halves):
+        state["uinteger"] = int(halves[-1])
+    bg.state = state
+    return out.reshape(shape)
 
 
 def awgn_noise(shape: tuple[int, ...], sigma2: float, rng: np.random.Generator) -> np.ndarray:

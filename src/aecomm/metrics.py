@@ -9,8 +9,6 @@ when the two scale factors coincide on the batch.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,36 +24,6 @@ _Z95 = 1.959963984540054
 # keep the widest per-row activation within it. Bounded blocks stay in cache,
 # so memory does not grow with n_batches * Bs, n_symbols or val_batch_size.
 _BLOCK = 1 << 16
-
-
-def _draw_indices(rng: np.random.Generator, M: int, size) -> np.ndarray:
-    """rng.integers(0, M, size=size), read off PCG64's raw stream; same values, same state.
-
-    For a power-of-2 M <= 2**32, Lemire's method in integers never rejects, so
-    each value is the top log2(M) bits of one next_uint32: the low, then the
-    high half of a raw 64-bit draw. Any other case goes to integers. The state
-    round trip costs microseconds, so this pays only for thousands of indices.
-    """
-    bg = rng.bit_generator
-    shape = (size,) if np.ndim(size) == 0 else tuple(size)
-    n = math.prod(shape)
-    if (type(bg) is not np.random.PCG64 or sys.byteorder != "little"
-            or not 2 <= M <= 1 << 32 or M & (M - 1) or n == 0):
-        return rng.integers(0, M, size=size)
-    shift = 33 - int(M).bit_length()
-    state = bg.state
-    carry = state["has_uint32"]
-    halves = bg.random_raw((n - carry + 1) // 2).view(np.uint32)
-    out = np.empty(n, dtype=np.int64)
-    out[:carry] = state["uinteger"] >> shift
-    np.right_shift(halves[:n - carry], shift, out=out[carry:])
-    # integers leaves its last raw high half in uinteger, unread after an odd count
-    state = bg.state
-    state["has_uint32"] = (n - carry) % 2
-    if len(halves):
-        state["uinteger"] = int(halves[-1])
-    bg.state = state
-    return out.reshape(shape)
 
 
 @dataclass
@@ -137,7 +105,7 @@ def norm_error_experiment(
             for j, bs in enumerate(batch_sizes):
                 rows = max(1, _BLOCK // bs)
                 for a in range(0, n_batches, rows):
-                    idx = _draw_indices(rng, M, (min(rows, n_batches - a), bs))
+                    idx = comm.draw_indices(rng, M, (min(rows, n_batches - a), bs))
                     if terms is not None:
                         with np.errstate(divide="ignore", invalid="ignore"):  # zero batches: nan
                             errors[a:a + len(idx)] = _batch_errors(terms, idx, power)
@@ -158,12 +126,13 @@ def norm_error_experiment(
     return stats
 
 
-def _decode_errors(points: np.ndarray, rx: nn.Mlp, labels: np.ndarray, sigma2: float,
+def _decode_errors(points: np.ndarray, rx: nn.Mlp, n: int, sigma2: float,
                    rng: np.random.Generator, ws: dict) -> int:
-    """Wrong decisions of rx on points[labels] through AWGN of variance sigma2. The noise is
-    drawn whole; the decode runs in blocks of _BLOCK // (widest layer) rows each."""
-    n = len(labels)
+    """Wrong decisions of rx on n uniform labels sent as points[labels] through AWGN of
+    variance sigma2. The labels, then the noise, are drawn whole; the decode runs in
+    blocks of _BLOCK // (widest layer) rows each."""
     block = max(1, _BLOCK // max(W.shape[1] for W in rx.weights))
+    labels = comm.draw_indices(rng, points.shape[0], n)
     y = comm.awgn(comm.gather(points, labels), sigma2, rng)
     errors = 0
     for a in range(0, n, block):
@@ -192,9 +161,7 @@ def validation_accuracy(
     ws = {}  # every batch has the same shape, so only the first pass allocates
     errors = 0
     for _ in range(n_batches):
-        # validation batches (1000 labels by default) are below _draw_indices' break-even
-        labels = rng.integers(0, points.shape[0], size=batch_size)
-        errors += _decode_errors(points, rx, labels, sigma2, rng, ws)
+        errors += _decode_errors(points, rx, batch_size, sigma2, rng, ws)
     n = n_batches * batch_size
     return (n - errors) / n
 
@@ -224,8 +191,7 @@ def ser_sweep(
     rows = []
     for snr_db in snr_db_list:
         sigma2 = comm.sigma2_from_snr(power, snr_db)
-        labels = _draw_indices(rng, points.shape[0], n_symbols)
-        errors = _decode_errors(points, rx, labels, sigma2, rng, ws)
+        errors = _decode_errors(points, rx, n_symbols, sigma2, rng, ws)
         lo, hi = wilson_interval(errors, n_symbols)
         rows.append((float(snr_db), errors / n_symbols, lo, hi))
     return rows

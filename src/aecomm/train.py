@@ -98,8 +98,7 @@ def sample_batch(M: int, batch_size: int, rng: np.random.Generator) -> np.ndarra
     """Uniform i.i.d. message indices, with replacement."""
     if M < 1 or batch_size < 1:
         raise ValueError("M and batch_size must be >= 1")
-    # called once per run (train_run), where metrics._draw_indices would save under 1 ms
-    return rng.integers(0, M, size=batch_size)
+    return comm.draw_indices(rng, M, batch_size)
 
 
 def loss_and_grads(

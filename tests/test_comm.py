@@ -66,6 +66,14 @@ class TestNormalizeAverage:
         with pytest.raises(comm.DegenerateInputError):
             comm.normalize_average(np.zeros((3, 2)), 1.0)
 
+    def test_overflowing_power_sum_gives_nan(self):
+        # finite rows whose squares overflow have no finite scale: nan, not zeros
+        X = np.array([[1e200, 0.0], [0.0, -1e200], [1.0, 2.0]])
+        with np.errstate(over="ignore"):
+            out, s = comm.normalize_average(X, 1.0)
+        assert np.isnan(s)
+        assert np.isnan(out).all()
+
 
 class TestNormalizeAverageBackward:
     def test_zero_upstream(self):

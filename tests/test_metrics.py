@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from aecomm import comm, metrics, nn
-from helpers import norm_errors_vectorized, normalization_error_direct, qpsk_points
+from helpers import IntegersForbidden, norm_errors_vectorized, normalization_error_direct, qpsk_points
 
 
 def tx_with_outputs(raw):
@@ -105,22 +105,12 @@ class TestNormalizationError:
         assert np.isnan(metrics.normalization_error(tx_with_outputs(np.zeros((4, 2))), np.arange(4), 1.0))
 
 
-class IntegersForbidden:
-    """A generator stand-in whose integers fails: the draw must come from the raw stream."""
-
-    def __init__(self, rng):
-        self.bit_generator = rng.bit_generator
-
-    def integers(self, *args, **kwargs):
-        raise AssertionError("fell back to Generator.integers")
-
-
 _SIZES = st.one_of(st.integers(1, 40), st.tuples(st.integers(1, 7), st.integers(1, 7)))
 
 
 class TestDrawIndices:
     # a twin generator takes the same ops as the reference, except that each
-    # "draw" goes to _draw_indices where the reference calls integers
+    # "draw" goes to comm.draw_indices where the reference calls integers
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
@@ -138,7 +128,7 @@ class TestDrawIndices:
                 continue
             want = ref.integers(0, M, size=size)
             if op == "draw":
-                got = metrics._draw_indices(IntegersForbidden(twin), M, size)
+                got = comm.draw_indices(IntegersForbidden(twin), M, size)
             else:
                 got = twin.integers(0, M, size=size)
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -152,7 +142,7 @@ class TestDrawIndices:
         ref, twin = np.random.Generator(bit_generator(11)), np.random.Generator(bit_generator(11))
         ref.integers(0, 8, size=3), twin.integers(0, 8, size=3)  # leaves a buffered half
         want = ref.integers(0, M, size=size)
-        got = metrics._draw_indices(twin, M, size)
+        got = comm.draw_indices(twin, M, size)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         np.testing.assert_equal(twin.bit_generator.state, ref.bit_generator.state)
@@ -305,10 +295,13 @@ class TestValidationAccuracy:
         assert 0.0 <= acc <= 1.0
 
     def test_equals_fresh_arrays_per_batch(self):
+        # the labels come off the raw stream, never from integers, with the values
+        # and generator state that integers would give
         rng = np.random.default_rng(12)
         points = alphabet_points(nn.build_mlp([16, 20, 2], rng))
         rx = nn.build_mlp([2, 20, 16], rng)
-        acc = metrics.validation_accuracy(points, rx, 0.3, 4, 250, np.random.default_rng(4))
+        stand_in = IntegersForbidden(np.random.default_rng(4))
+        acc = metrics.validation_accuracy(points, rx, 0.3, 4, 250, stand_in)
         data = np.random.default_rng(4)
         correct = 0
         for _ in range(4):
