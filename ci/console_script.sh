@@ -2,14 +2,16 @@
 # Runs the `aecomm` console script found on PATH, in the current directory,
 # which should be empty: a train, a ser on it (exit 0), a ser on an indent=2
 # copy of the run (exit 0, the same ser.csv bytes: ser compares JSON values,
-# not text), a ser on a diverged run (exit 1, no ser.csv), a ser on a run
-# whose transmitter power overflows while its losses stay finite (exit 1, no
-# ser.csv: the overflow stops the run with a null loss), a ser on copies of
-# the run with another config.power, with loss_curve "x" and with loss_curve
-# cut to its first 3 entries (each exit 2, no ser.csv), a tiny norm-error, a
-# 2-cell compare whose copy, cut mid-row, resumes to the same bytes, and a copy
-# without compare_meta.json, which is refused (exit 2) and left as it was; no
-# command may leave a temporary file. Usage: cd "$(mktemp -d)" && bash ci/console_script.sh
+# not text), a train with the removed noise-seed key (exit 2, no directory),
+# a diverged run whose validation_accuracy is null, a ser on it (exit 1, no
+# ser.csv), a ser on a run whose transmitter power overflows while its losses
+# stay finite (exit 1, no ser.csv: the overflow stops the run with a null
+# loss), a ser on copies of the run with another config.power, with
+# loss_curve "x" and with loss_curve cut to its first 3 entries (each exit 2,
+# no ser.csv), a tiny norm-error, a 2-cell compare whose copy, cut mid-row,
+# resumes to the same bytes, and a copy without compare_meta.json, which is
+# refused (exit 2) and left as it was; no command may leave a temporary file.
+# Usage: cd "$(mktemp -d)" && bash ci/console_script.sh
 set -e
 echo '{"M": 4, "batch_size": 8, "data_budget": 800, "tx_hidden": [8], "rx_hidden": [8], "val_batches": 1, "val_batch_size": 100}' > train.json
 echo '{"M": 4, "batch_size": 8, "data_budget": 80, "lr": 1e100, "tx_hidden": [8], "rx_hidden": [8], "val_batches": 1, "val_batch_size": 10}' > diverged.json
@@ -23,7 +25,12 @@ python -c "import json; json.dump(json.load(open('run/run.json')), open('indente
 echo '{"run_json": "indented.json", "n_symbols": 1000}' > ser_indented.json
 aecomm ser --config ser_indented.json --out ser_indented
 cmp ser/ser.csv ser_indented/ser.csv
+echo '{"noise_seed": 0}' > removed_key.json
+rc=0; aecomm train --config removed_key.json --out removed_key || rc=$?
+test "$rc" -eq 2
+test ! -e removed_key
 aecomm train --config diverged.json --out diverged
+python -c "import json; assert json.load(open('diverged/run.json'))['validation_accuracy'] is None"
 rc=0; aecomm ser --config ser_diverged.json --out ser_diverged || rc=$?
 test "$rc" -eq 1
 test ! -e ser_diverged/ser.csv

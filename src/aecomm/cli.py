@@ -157,14 +157,9 @@ def _list_of(check, distinct=False):
                       and (not distinct or len(set(v)) == len(v)))
 
 
-# The JSON checker of each TrainConfig field type; a generic type is keyed by its
-# arguments, since Python versions build int | None from different classes. The
-# defaults and every range check are TrainConfig's own (see _train_config).
-_TYPE_CHECKS = {
-    int: _is_int, float: _is_real, str: _is_str,
-    (int, ...): _list_of(_is_int),  # tuple[int, ...]
-    (int, type(None)): lambda v: v is None or _is_int(v),  # int | None
-}
+# The JSON checker of each TrainConfig field type, a generic one keyed by its
+# arguments. The defaults and every range check are TrainConfig's own (see _train_config).
+_TYPE_CHECKS = {int: _is_int, float: _is_real, str: _is_str, (int, ...): _list_of(_is_int)}
 _TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(train.TrainConfig)}
 
 TRAIN_SCHEMA = {
@@ -178,7 +173,7 @@ TRAIN_SCHEMA = {
 # compare sweeps the batch size and the seeds, and trains both architectures
 COMPARE_SCHEMA = {
     **{key: v for key, v in TRAIN_SCHEMA.items()
-       if key not in ("batch_size", "architecture", "init_seed", "data_seed", "noise_seed")},
+       if key not in ("batch_size", "architecture", "init_seed", "data_seed")},
     "batch_sizes": (_list_of(_is_int, distinct=True), [16, 32, 64, 128, 256, 512]),
     "init_seeds": (_list_of(_is_seed, distinct=True), list(range(10))),
     "data_seeds": (_list_of(_is_seed, distinct=True), list(range(100, 110))),
@@ -231,8 +226,11 @@ def _train_config(cfg: dict, **overrides) -> train.TrainConfig:
 
 
 def _train_and_score(config: train.TrainConfig, cfg: dict) -> tuple[train.RunResult, float]:
-    """Train one run, then score it on the validation set that cfg's val_* keys define."""
+    """Train one run, then score it on the validation set of cfg's val_* keys. A diverged run, whose
+    constellation is not finite (a non-finite loss, or an overflow in the last update), scores nan."""
     result = train.train_run(config)
+    if not np.isfinite(result.constellation).all():
+        return result, math.nan
     rng = np.random.default_rng(cfg["val_seed"])
     accuracy = metrics.validation_accuracy(
         result.constellation, result.rx, config.sigma2, cfg["val_batches"], cfg["val_batch_size"], rng
@@ -246,10 +244,13 @@ def _compare_cell(args) -> tuple[list[float], float]:
     start = time.perf_counter()
     accuracies = []
     for arch in train.ARCHITECTURES:
-        config = _train_config(
-            cfg, architecture=arch, batch_size=batch_size, init_seed=init_seed, data_seed=data_seed
-        )
-        accuracies.append(_train_and_score(config, cfg)[1])
+        config = _train_config(cfg, architecture=arch, batch_size=batch_size, init_seed=init_seed,
+                               data_seed=data_seed)
+        run, accuracy = _train_and_score(config, cfg)
+        if math.isnan(accuracy):
+            raise RuntimeError(f"{config.describe(len(run.loss_curve) - 1)}: diverged, no finite constellation")
+        accuracies.append(accuracy)
+        del run  # its networks, freed before the next run trains
     return accuracies, time.perf_counter() - start
 
 
@@ -362,27 +363,27 @@ def _json_list(values) -> list:
 _RUN_CONFIG_SCHEMA = {key: (check, _REQUIRED) for key, (check, _) in TRAIN_SCHEMA.items()}
 
 
-def _run_doc(cfg: dict, config: train.TrainConfig, loss_curve, points, accuracy: float, tx, rx) -> dict:
+def _run_doc(cfg: dict, loss_curve, points, accuracy: float, tx, rx) -> dict:
     """run.json's document (schema in the README): cmd_train writes it, and _load_run
-    requires a file to equal it. Its config is the train command's config `cfg` with
-    config's resolved fields (noise_seed), non-finite numbers render as null, and networks
-    have nn's one layout. An accuracy outside [0, 1] has none."""
-    if not 0 <= accuracy <= 1:
-        raise ValueError(f"validation accuracy {accuracy!r} is outside [0, 1]")
+    requires a file to equal it. Its config is the train command's effective config `cfg`,
+    non-finite numbers render as null, and networks have nn's one layout. The accuracy is
+    nan (null) for a diverged run, whose constellation is not finite, and in [0, 1] otherwise."""
+    diverged = not np.isfinite(points).all()
+    if not (math.isnan(accuracy) if diverged else 0 <= accuracy <= 1):
+        raise ValueError(f"validation accuracy {accuracy!r} is not {'nan' if diverged else 'in [0, 1]'}")
     return {
-        "config": {**cfg, **dataclasses.asdict(config)},
+        "config": cfg,
         "loss_curve": _json_list(loss_curve),
         "constellation": _json_list(points),
-        "validation_accuracy": accuracy,
+        "validation_accuracy": _json_list(accuracy),
         **{name: {"weights": [_json_list(W) for W in mlp.weights], "biases": [_json_list(b) for b in mlp.biases]}
            for name, mlp in (("tx", tx), ("rx", rx))},
     }
 
 
 def cmd_train(cfg: dict, out_dir: Path, workers: int) -> None:
-    config = _train_config(cfg)
-    result, accuracy = _train_and_score(config, cfg)
-    doc = _run_doc(cfg, config, result.loss_curve, result.constellation, accuracy, result.tx, result.rx)
+    result, accuracy = _train_and_score(_train_config(cfg), cfg)
+    doc = _run_doc(cfg, result.loss_curve, result.constellation, accuracy, result.tx, result.rx)
     run_text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
     points = "".join(f"{i},{re:.17g},{im:.17g}\n" for i, (re, im) in enumerate(result.constellation))
     _write_whole(out_dir / "run.json", run_text)
@@ -440,7 +441,7 @@ def _load_run(path: Path) -> tuple[train.TrainConfig, np.ndarray, nn.Mlp]:
         if not all(np.isfinite(a).all() for a in (stored, *tx.param_list(), *rx.param_list())):
             raise RuntimeError(f"{path}: the constellation or a network is not finite (a diverged run)")
         points, _ = comm.normalize_average(nn.mlp_forward(np.arange(config.M), tx)[0], config.power)
-        expected = _run_doc(cfg, config, losses, points, float(doc["validation_accuracy"]), tx, rx)
+        expected = _run_doc(cfg, losses, points, float(doc["validation_accuracy"]), tx, rx)
         differ = sorted(key for key in expected.keys() | doc.keys()
                         if not _same(expected.get(key, _REQUIRED), doc.get(key, _REQUIRED)))
         if differ:

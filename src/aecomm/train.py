@@ -9,9 +9,9 @@ backward pass scatter-adds through the gather and then applies the coupled
 normalization gradient, so every transmitter output row receives gradient even
 when absent from the batch.
 
-Paired runs share init_seed (identical initialization), data_seed (identical
-batch sequences) and noise_seed (identical noise draws), so the architecture
-is the only varied factor.
+Paired runs share init_seed (identical initialization) and data_seed, which
+seeds the batch sequence and, through its spawned child SeedSequence, an
+independent noise stream; so the architecture is the only varied factor.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class TrainConfig:
     data_budget: int = 76800
     init_seed: int = 0
     data_seed: int = 0
-    noise_seed: int | None = None  # defaults to data_seed
 
     def __post_init__(self):
         if self.M < 2 or (self.M & (self.M - 1)) != 0:
@@ -59,14 +58,11 @@ class TrainConfig:
                 finite = False
             if not finite:
                 raise ValueError(f"{name} must be a finite number")
-        for name in ("power", "lr"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        # the noise variance, fixed here; an SNR that under- or overflows raises
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
+        # the noise variance, fixed here; a power <= 0, or an SNR that under- or overflows, raises
         self.sigma2 = comm.sigma2_from_snr(self.power, self.snr_db)
-        if self.noise_seed is None:
-            self.noise_seed = self.data_seed
-        if min(self.init_seed, self.data_seed, self.noise_seed) < 0:
+        if min(self.init_seed, self.data_seed) < 0:
             raise ValueError("seeds must be >= 0")
         self.tx_hidden = tuple(self.tx_hidden)
         self.rx_hidden = tuple(self.rx_hidden)
@@ -76,6 +72,11 @@ class TrainConfig:
     @property
     def n_steps(self) -> int:
         return self.data_budget // self.batch_size
+
+    def describe(self, step: int) -> str:
+        """This run at 0-based `step`, as a failure message names it."""
+        return (f"{self.architecture} run at Bs={self.batch_size}, init_seed={self.init_seed},"
+                f" data_seed={self.data_seed}, step {step}")
 
 
 @dataclass
@@ -170,7 +171,7 @@ def train_run(config: TrainConfig) -> RunResult:
     params, grads = nn.pack_params(tx, rx)
     optimizer = nn.Adam([params], lr=config.lr)
     data_rng = np.random.default_rng(config.data_seed)
-    noise_rng = np.random.default_rng(config.noise_seed)
+    noise_rng = np.random.default_rng(np.random.SeedSequence(config.data_seed).spawn(1)[0])
     ws: dict = {}
 
     loss_curve: list[float] = []
@@ -187,9 +188,6 @@ def train_run(config: TrainConfig) -> RunResult:
         raw, _ = nn.mlp_forward(np.arange(config.M), tx)
         constellation, _ = comm.normalize_average(raw, config.power)
     except comm.DegenerateInputError as exc:  # a transmitter whose outputs are all zero
-        raise comm.DegenerateInputError(
-            f"{config.architecture} run at Bs={config.batch_size}, init_seed={config.init_seed},"
-            f" data_seed={config.data_seed}, noise_seed={config.noise_seed}, step {len(loss_curve)}: {exc}"
-        ) from exc
+        raise comm.DegenerateInputError(f"{config.describe(len(loss_curve))}: {exc}") from exc
     return RunResult(loss_curve, tx, rx, constellation)
 

@@ -78,7 +78,7 @@ def test_criterion_2_normalization_exactness():
         params, grads = nn.pack_params(tx, rx)
         opt = nn.Adam([params], lr=cfg.lr)
         data_rng = np.random.default_rng(cfg.data_seed)
-        noise_rng = np.random.default_rng(cfg.noise_seed)
+        noise_rng = np.random.default_rng(np.random.SeedSequence(cfg.data_seed).spawn(1)[0])
         for _ in range(cfg.n_steps):
             batch = train.sample_batch(cfg.M, cfg.batch_size, data_rng)
             noise = noise_rng.normal(0, np.sqrt(cfg.sigma2 / 2), size=(cfg.batch_size, 2))

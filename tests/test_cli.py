@@ -67,6 +67,13 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "c.json", {"M": 4, "bogus": 1})
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+        # noise_seed is no key: the noise stream is data_seed's spawned child
+        for command, payload in (("train", {"noise_seed": 0}), ("compare", {**COMPARE_SMOKE, "noise_seed": 100})):
+            cfg = write_config(tmp_path, f"{command}.json", payload)
+            out = tmp_path / command
+            assert cli.main([command, "--config", cfg, "--out", str(out), "--workers", "1"]) == 2
+            assert capsys.readouterr().err.splitlines()[-1] == "error: unknown config keys: ['noise_seed']"
+            assert not out.exists()
 
     def test_bad_value_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", {"architecture": "magic"})
@@ -151,7 +158,7 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "t.json", {**dead, "init_seed": 25})
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 1
         assert capsys.readouterr().err == (
-            "failure: proposed run at Bs=64, init_seed=25, data_seed=0, noise_seed=0, step 0:"
+            "failure: proposed run at Bs=64, init_seed=25, data_seed=0, step 0:"
             " all-zero input cannot satisfy an average power constraint\n")
         assert not any((tmp_path / "t").iterdir())
         cfg = write_config(tmp_path, "c.json", {**dead, "batch_sizes": [64], "init_seeds": [24, 25, 26],
@@ -159,8 +166,22 @@ class TestConfigValidation:
         assert cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "c"), "--workers", "1"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err[0].startswith("compare: cell 1/3 Bs=64 init_seed=24 data_seed=1: ")
-        assert err[1:] == ["failure: baseline run at Bs=64, init_seed=25, data_seed=1, noise_seed=1, step 0:"
+        assert err[1:] == ["failure: baseline run at Bs=64, init_seed=25, data_seed=1, step 0:"
                            " all-zero input cannot satisfy an average power constraint"]
+        assert len((tmp_path / "c" / "accuracy.csv").read_text().splitlines()) == 1 + 2  # cell 1 only
+
+    def test_diverged_run_failure_names_the_run(self, tmp_path, capsys):
+        # at lr 1e100, init_seed 5's runs end with a finite constellation and init_seed 6's
+        # proposed run diverges at step 1; a diverged run has no accuracy to write
+        cfg = write_config(tmp_path, "c.json", {"M": 4, "tx_hidden": [1], "rx_hidden": [2], "data_budget": 640,
+                                                "lr": 1e100, "batch_sizes": [64], "init_seeds": [5, 6, 7],
+                                                "data_seeds": [1]})
+        with np.errstate(all="ignore"):
+            assert cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "c"), "--workers", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("compare: cell 1/3 Bs=64 init_seed=5 data_seed=1: ")
+        assert err[1:] == ["failure: proposed run at Bs=64, init_seed=6, data_seed=1, step 1:"
+                           " diverged, no finite constellation"]
         assert len((tmp_path / "c" / "accuracy.csv").read_text().splitlines()) == 1 + 2  # cell 1 only
 
     def test_rejected_config_removes_only_the_directories_it_made(self, tmp_path):
@@ -299,8 +320,8 @@ class TestTrainCommand:
         assert doc["validation_accuracy"] == 1.0
         assert len(doc["loss_curve"]) == 25600 // 64
         assert sorted(doc) == ["config", "constellation", "loss_curve", "rx", "tx", "validation_accuracy"]
-        # the effective train config, noise_seed resolved to data_seed
-        assert doc["config"] == {**cli._check(TRAIN_SMOKE, cli.TRAIN_SCHEMA), "noise_seed": 0}
+        # the effective train config
+        assert doc["config"] == cli._check(TRAIN_SMOKE, cli.TRAIN_SCHEMA)
 
     def test_exported_constellation_power(self, tmp_path):
         cfg = write_config(tmp_path, "t.json", TRAIN_SMOKE)
@@ -332,6 +353,7 @@ class TestTrainCommand:
         assert len(doc["loss_curve"]) < 80 // 8  # n_steps
         assert doc["loss_curve"][-1] is None
         assert None in doc["constellation"][0]
+        assert doc["validation_accuracy"] is None  # a diverged run has no score
 
     def test_serialization_roundtrip(self, tmp_path):
         # ser's reader loads the constellation and receiver train_run returns, bit for bit
@@ -662,6 +684,8 @@ RUN_EDITS = {
     "loss_curve cut to 3": (("loss_curve",), lambda v: v[:3]),
     "loss_curve empty": (("loss_curve",), lambda v: []),
     "config beta1 0.5": (("config",), lambda v: {**v, "beta1": 0.5}),
+    # train wrote noise_seed, equal to data_seed, before the noise became data_seed's spawned child
+    "config noise_seed": (("config",), lambda v: {**v, "noise_seed": v["data_seed"]}),
     "previous format": ((), previous_format),
 }
 
@@ -744,7 +768,6 @@ class TestSerRunCheck:
             "lr": st.sampled_from([0.008, 0.1, 1e100]),
             "init_seed": st.integers(0, 9),
         }, optional={
-            "noise_seed": st.integers(0, 9),
             "val_batches": st.integers(1, 2),
             "val_batch_size": st.integers(1, 50),
             "val_seed": st.integers(0, 9),

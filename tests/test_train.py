@@ -1,4 +1,5 @@
 import collections
+import copy
 import math
 import tracemalloc
 
@@ -25,7 +26,6 @@ def small_config(**kw):
         data_budget=64,
         init_seed=1,
         data_seed=2,
-        noise_seed=3,
     )
     defaults.update(kw)
     return train.TrainConfig(**defaults)
@@ -132,7 +132,7 @@ class TestTrainingBehaviour:
             params, grads = nn.pack_params(tx, rx)
             opt = nn.Adam([params], lr=cfg.lr)
             data_rng = np.random.default_rng(cfg.data_seed)
-            noise_rng = np.random.default_rng(cfg.noise_seed)
+            noise_rng = np.random.default_rng(np.random.SeedSequence(cfg.data_seed).spawn(1)[0])
             for _ in range(cfg.n_steps):
                 batch = train.sample_batch(cfg.M, cfg.batch_size, data_rng)
                 noise = noise_rng.normal(0, np.sqrt(cfg.sigma2 / 2), size=(cfg.batch_size, 2))
@@ -202,6 +202,34 @@ class TestTrainRun:
                 train.sample_batch(cfg_p.M, cfg_p.batch_size, rng_p),
             )
 
+    def test_batch_and_noise_streams_independent(self, monkeypatch):
+        # the batches come from data_seed's generator and the noise from its spawned
+        # child: the two streams share no raw word, and paired runs share both
+        draws = []
+
+        def capturing(fn):
+            def wrapper(*args):
+                before = copy.deepcopy(args[-1])  # the generator, in its state before the draw
+                out = fn(*args)
+                draws.append((fn.__name__, before, out))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(train, "sample_batch", capturing(train.sample_batch))
+        monkeypatch.setattr(comm, "awgn_noise", capturing(comm.awgn_noise))
+        for arch in train.ARCHITECTURES:
+            train.train_run(small_config(architecture=arch))
+        names, rngs, outs = zip(*draws)  # baseline's batches and noise, then proposed's
+        assert names == ("sample_batch", "awgn_noise") * 2
+        data_rng, noise_rng = rngs[:2]
+        assert np.intersect1d(data_rng.bit_generator.random_raw(4096),
+                              noise_rng.bit_generator.random_raw(4096)).size == 0
+        noise = outs[1]
+        assert np.array_equal(noise, outs[3])
+        cfg = small_config()
+        child = np.random.default_rng(np.random.SeedSequence(cfg.data_seed).spawn(1)[0])
+        assert np.array_equal(noise, comm.awgn_noise((cfg.n_steps, cfg.batch_size, 2), cfg.sigma2, child))
+
     def test_constellation_satisfies_alphabet_constraint(self):
         result = train.train_run(small_config())
         power = np.mean(np.sum(result.constellation ** 2, axis=1))
@@ -252,7 +280,7 @@ class TestTrainRun:
         with pytest.raises(comm.DegenerateInputError) as info:
             train.train_run(config)
         assert str(info.value) == (
-            f"{architecture} run at Bs=8, init_seed=25, data_seed=2, noise_seed=3, step 0:"
+            f"{architecture} run at Bs=8, init_seed=25, data_seed=2, step 0:"
             " all-zero input cannot satisfy an average power constraint")
 
     @pytest.mark.parametrize("scope", ["bogus", "baseline"])
@@ -297,7 +325,7 @@ def run_steps(config, n_steps, ws):
     params, grads = nn.pack_params(tx, rx)
     opt = nn.Adam([params], lr=config.lr)
     data_rng = np.random.default_rng(config.data_seed)
-    noise_rng = np.random.default_rng(config.noise_seed)
+    noise_rng = np.random.default_rng(np.random.SeedSequence(config.data_seed).spawn(1)[0])
     losses = [
         train.train_step(tx, rx, opt, grads, train.sample_batch(config.M, config.batch_size, data_rng),
                          comm.awgn_noise((config.batch_size, 2), config.sigma2, noise_rng), config, ws=ws)
@@ -321,7 +349,7 @@ class TestWorkspace:
                                             architecture, n_steps, seed):
         config = small_config(M=2**log2_M, batch_size=batch_size, data_budget=batch_size * n_steps,
                               tx_hidden=tx_hidden, rx_hidden=rx_hidden, architecture=architecture,
-                              init_seed=seed, data_seed=seed + 1, noise_seed=seed + 2)
+                              init_seed=seed, data_seed=seed + 1)
         try:
             ref_losses, ref_params, ref_opt = run_steps(config, n_steps, ws=None)
         except comm.DegenerateInputError:  # a dead-ReLU transmitter fails the same way with one
