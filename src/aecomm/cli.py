@@ -51,11 +51,14 @@ def _openblas_function(name: str):
     """
     try:
         with open("/proc/self/maps") as fh:  # Linux only
-            paths = {line.split()[-1] for line in fh}
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}  # the path may hold spaces
     except OSError:
         return None
     for path in sorted(p for p in paths if "blas" in os.path.basename(p).lower()):
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a library marked "(deleted)"
+            continue
         for sym in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
                     f"openblas_{name}64_", f"openblas_{name}"):
             if hasattr(lib, sym):
@@ -143,10 +146,6 @@ def _is_num(v):
         return False
 
 
-def _is_pos_num(v):
-    return _is_num(v) and v > 0
-
-
 def _is_str(v):
     return isinstance(v, str) and bool(v)
 
@@ -184,7 +183,7 @@ NORM_ERROR_SCHEMA = {
     "batch_sizes": (_list_of(_is_pos_int, distinct=True), [4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]),
     "n_inits": (_is_pos_int, 30),
     "n_batches": (_is_pos_int, 1000),
-    "eb": (_is_pos_num, 1.0),
+    "eb": (_is_num, 1.0),  # comm.power_from_eb checks its range
     "tx_hidden": (_list_of(_is_pos_int), [60, 60]),
     "seed": (_is_seed, 0),
 }
@@ -337,7 +336,8 @@ def cmd_compare(cfg: dict, out_dir: Path, workers: int) -> None:
     keys = [[f"{arch},{bs},{i},{d},".encode() for arch in train.ARCHITECTURES] for bs, i, d in cells]
     done = _resume(out_path, keys)
     cells, keys = cells[done:], keys[done:]
-    parallel = workers > 1 and bool(cells)
+    workers = min(workers, len(cells))  # a fork-started pool starts all its workers at once
+    parallel = workers > 1
     with open(out_path, "ab") as fh, (
         concurrent.futures.ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_threads)
         if parallel else contextlib.nullcontext()
@@ -359,21 +359,22 @@ def _json_list(values) -> list:
     return np.where(np.isfinite(a), a, None).tolist()
 
 
-# run.json's config: every train key, none defaulted
-_RUN_CONFIG_SCHEMA = {key: (check, _REQUIRED) for key, (check, _) in TRAIN_SCHEMA.items()}
-
-
 def _run_doc(cfg: dict, loss_curve, points, accuracy: float, tx, rx) -> dict:
     """run.json's document (schema in the README): cmd_train writes it, and _load_run
     requires a file to equal it. Its config is the train command's effective config `cfg`,
-    non-finite numbers render as null, and networks have nn's one layout. The accuracy is
-    nan (null) for a diverged run, whose constellation is not finite, and in [0, 1] otherwise."""
+    non-finite numbers render as null, and networks have nn's one layout. A diverged run, whose
+    constellation is not finite, has a nan (null) accuracy; any other run one in [0, 1]."""
+    n_steps, losses = _train_config(cfg).n_steps, np.asarray(loss_curve, dtype=float)
+    if not (0 < len(losses) <= n_steps and np.isfinite(losses[:-1]).all()
+            and (len(losses) == n_steps or not np.isfinite(losses[-1]))):
+        raise ValueError(f"loss_curve must hold {n_steps} losses, or fewer ending in null,"
+                         " all finite before the last")
     diverged = not np.isfinite(points).all()
     if not (math.isnan(accuracy) if diverged else 0 <= accuracy <= 1):
         raise ValueError(f"validation accuracy {accuracy!r} is not {'nan' if diverged else 'in [0, 1]'}")
     return {
         "config": cfg,
-        "loss_curve": _json_list(loss_curve),
+        "loss_curve": _json_list(losses),
         "constellation": _json_list(points),
         "validation_accuracy": _json_list(accuracy),
         **{name: {"weights": [_json_list(W) for W in mlp.weights], "biases": [_json_list(b) for b in mlp.biases]}
@@ -407,8 +408,7 @@ def _network(d, sizes: list[int]) -> nn.Mlp:
 
 
 def _same(a, b) -> bool:
-    """Whether JSON values a and b are equal in value and type (1, 1.0 and true differ); a tuple is a list."""
-    a = list(a) if isinstance(a, tuple) else a
+    """Whether JSON values a and b are equal in value and type (1, 1.0 and true differ)."""
     if type(a) is not type(b):
         return False
     if isinstance(a, dict):
@@ -422,25 +422,20 @@ def _same(a, b) -> bool:
 
 def _load_run(path: Path) -> tuple[train.TrainConfig, np.ndarray, nn.Mlp]:
     """The config, constellation and receiver of a run.json, which must equal, as JSON values,
-    _run_doc of the values parsed from it and of the constellation recomputed from tx. Its loss
-    curve holds config.n_steps losses, or fewer ending in null (a diverged run), all finite
-    before the last. A file that fails is a ConfigError that names it; a null (nan) in the
-    stored constellation or a network, a diverged run, is a RuntimeError."""
+    _run_doc of the values parsed from it and of the constellation recomputed from tx. A file
+    that fails is a ConfigError that names it; a null (nan) in the stored constellation or a
+    network, a diverged run, is a RuntimeError."""
     doc = _read_json(path, "run")
     try:
-        cfg = _check(doc["config"], _RUN_CONFIG_SCHEMA)
+        cfg = _check(doc["config"], TRAIN_SCHEMA)  # a key it fills in differs from the re-render
         config = _train_config(cfg)
         tx = _network(doc["tx"], [config.M, *config.tx_hidden, 2])
         rx = _network(doc["rx"], [2, *config.rx_hidden, config.M])
         stored = _array(doc["constellation"], (config.M, 2))
         losses = _array(doc["loss_curve"], (len(doc["loss_curve"]),))
-        if not (0 < len(losses) <= config.n_steps and np.isfinite(losses[:-1]).all()
-                and (len(losses) == config.n_steps or np.isnan(losses[-1]))):
-            raise ValueError(f"loss_curve must hold {config.n_steps} losses, or fewer ending in null,"
-                             " all finite before the last")
         if not all(np.isfinite(a).all() for a in (stored, *tx.param_list(), *rx.param_list())):
             raise RuntimeError(f"{path}: the constellation or a network is not finite (a diverged run)")
-        points, _ = comm.normalize_average(nn.mlp_forward(np.arange(config.M), tx)[0], config.power)
+        points = train.constellation(tx, config.power)
         expected = _run_doc(cfg, losses, points, float(doc["validation_accuracy"]), tx, rx)
         differ = sorted(key for key in expected.keys() | doc.keys()
                         if not _same(expected.get(key, _REQUIRED), doc.get(key, _REQUIRED)))
@@ -496,8 +491,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     out_dir = Path(args.out)
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # innermost first
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # an existing file, or a path under one
+            raise ConfigError(f"cannot create --out {out_dir}: {exc.strerror}") from exc
         fn(cfg, out_dir, max(1, args.workers))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

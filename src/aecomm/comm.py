@@ -21,7 +21,7 @@ class DegenerateInputError(ValueError):
 def sigma2_from_snr(power: float, snr_db: float) -> float:
     """Total complex noise variance for a given transmit power and SNR in dB.
 
-    Raises ValueError if an extreme SNR under- or overflows it.
+    Raises ValueError on a power <= 0, or a power or SNR that gives no finite positive variance.
     """
     if power <= 0:
         raise ValueError("power must be positive")

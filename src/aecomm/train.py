@@ -51,16 +51,13 @@ class TrainConfig:
             raise ValueError(f"architecture must be one of {ARCHITECTURES}")
         if self.data_budget < self.batch_size:
             raise ValueError("data_budget must be >= batch_size (at least one step)")
-        for name in ("snr_db", "power", "lr"):
-            try:
-                finite = math.isfinite(getattr(self, name))
-            except OverflowError:  # an int too large for a float
-                finite = False
-            if not finite:
-                raise ValueError(f"{name} must be a finite number")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        # the noise variance, fixed here; a power <= 0, or an SNR that under- or overflows, raises
+        try:
+            lr = float(self.lr)
+        except OverflowError:  # an int too large for a float
+            lr = math.nan
+        if not 0 < lr < math.inf:
+            raise ValueError("lr must be a positive finite number")
+        # the noise variance, fixed here; sigma2_from_snr rejects a power or SNR that has none
         self.sigma2 = comm.sigma2_from_snr(self.power, self.snr_db)
         if min(self.init_seed, self.data_seed) < 0:
             raise ValueError("seeds must be >= 0")
@@ -102,6 +99,11 @@ def sample_batch(M: int, batch_size: int, rng: np.random.Generator) -> np.ndarra
     return comm.draw_indices(rng, M, batch_size)
 
 
+def constellation(tx: nn.Mlp, power: float) -> np.ndarray:
+    """The constellation a run deploys: tx's output for each message, normalized to `power`."""
+    return comm.normalize_average(nn.mlp_forward(np.arange(tx.in_dim), tx)[0], power)[0]
+
+
 def loss_and_grads(
     tx: nn.Mlp,
     rx: nn.Mlp,
@@ -122,11 +124,8 @@ def loss_and_grads(
     """
     if scope not in SCOPES.values():
         raise ValueError(f"scope must be one of {tuple(SCOPES.values())}")
-    ws = {} if ws is None else ws
-    bufs = ws.get(len(batch))
-    if bufs is None:
-        bufs = ws[len(batch)] = (np.arange(tx.in_dim), np.empty((len(batch), 2)), {}, {})
-    alphabet, received, tx_ws, rx_ws = bufs
+    alphabet, received, tx_ws, rx_ws = nn._buffers(
+        ws, len(batch), lambda: (np.arange(tx.in_dim), np.empty((len(batch), 2)), {}, {}))
     raw, tx_cache = nn.mlp_forward(batch if scope == "batch" else alphabet, tx, ws=tx_ws)
     symbols, s = comm.normalize_average(raw, power)
     sent = symbols if scope == "batch" else comm.gather(symbols, batch)
@@ -185,9 +184,7 @@ def train_run(config: TrainConfig) -> RunResult:
             loss_curve.append(loss)
             if not math.isfinite(loss):
                 break
-        raw, _ = nn.mlp_forward(np.arange(config.M), tx)
-        constellation, _ = comm.normalize_average(raw, config.power)
+        return RunResult(loss_curve, tx, rx, constellation(tx, config.power))
     except comm.DegenerateInputError as exc:  # a transmitter whose outputs are all zero
         raise comm.DegenerateInputError(f"{config.describe(len(loss_curve))}: {exc}") from exc
-    return RunResult(loss_curve, tx, rx, constellation)
 

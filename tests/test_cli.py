@@ -1,6 +1,8 @@
+import concurrent.futures
 import copy
 import ctypes
 import dataclasses
+import io
 import json
 import math
 import os
@@ -99,7 +101,8 @@ class TestConfigValidation:
         "command, payload",
         [("train", {"snr_db": float("nan")}), ("train", {"lr": float("inf")}),
          ("compare", {"snr_db": float("-inf")}), ("norm-error", {"eb": float("nan")}),
-         ("train", {"snr_db": 10**400}), ("norm-error", {"eb": 10**400})],
+         ("train", {"snr_db": 10**400}), ("norm-error", {"eb": 10**400}),
+         ("train", {"power": float("nan")}), ("train", {"power": 10**400}), ("train", {"lr": 10**400})],
     )
     def test_non_finite_number_exits_2(self, tmp_path, command, payload):
         # json.load reads the NaN/Infinity tokens that json.dumps writes here,
@@ -108,6 +111,14 @@ class TestConfigValidation:
         out = tmp_path / "o"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("eb", [0, -1])
+    def test_nonpositive_energy_per_bit_exits_2(self, tmp_path, capsys, eb):
+        cfg = write_config(tmp_path, "c.json", {"eb": eb})
+        out = tmp_path / "o"
+        assert cli.main(["norm-error", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: energy per bit must be positive\n"
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -194,6 +205,18 @@ class TestConfigValidation:
         assert cli.main(["train", "--config", cfg, "--out", str(existing)]) == 2
         assert existing.is_dir()
 
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys):
+        # an existing file, or a path under one, cannot be made a directory
+        cfg = write_config(tmp_path, "ne.json", NORM_ERROR_TINY)
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"kept\n")
+        for out in (blocker, blocker / "sub"):
+            assert cli.main(["norm-error", "--config", cfg, "--out", str(out)]) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"error: cannot create --out {out}: ")
+            assert blocker.read_bytes() == b"kept\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "ne.json"]
+
     def test_runtime_failure_exits_1(self, tmp_path, capsys):
         # a well-formed config whose run file holds a non-finite point fails while
         # running: finiteness is tested before the constellation is recomputed
@@ -243,6 +266,27 @@ class TestBlasPin:
             assert get_threads() == 1
         finally:
             cli.pin_blas_threads()
+
+    def test_library_path_with_a_space(self, tmp_path, monkeypatch):
+        # /proc/self/maps ends a line with the path, which may hold spaces, or with nothing
+        # (an anonymous map); a library marked "(deleted)" cannot be loaded and is skipped
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line.lower()})
+        libs = [p for p in libs if os.path.isfile(p)]
+        if not libs:
+            pytest.skip("no OpenBLAS loaded")
+        (tmp_path / "with space").mkdir()
+        link = tmp_path / "with space" / os.path.basename(libs[0])
+        link.symlink_to(libs[0])
+        maps = (f"7f0000000000-7f0000001000 r-xp 00000000 08:01 1234       {link}\n"
+                "7f0000002000-7f0000003000 rw-p 00000000 00:00 0 \n"
+                "7f0000004000-7f0000005000 r-xp 00000000 08:01 999        /gone/libopenblas.so (deleted)\n")
+        monkeypatch.setattr(cli, "open", lambda path, *a: io.StringIO(maps) if path == "/proc/self/maps"
+                            else open(path, *a), raising=False)
+        get_threads = cli._openblas_function("get_num_threads")
+        assert get_threads is not None
+        get_threads.restype, get_threads.argtypes = ctypes.c_int, []
+        assert get_threads() == 1  # the library the session pinned
 
     def test_no_openblas_found_still_runs(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_openblas_function", lambda name: None)
@@ -490,6 +534,33 @@ class TestCompareCommand:
         assert cli.main(["compare", "--config", cfg, "--out", str(part), "--workers", "1"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_pool_no_wider_than_its_cells(self, tmp_path, monkeypatch):
+        # a fork-started pool starts all max_workers processes at its first submit
+        widths = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer=None):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = write_config(tmp_path, "c.json", COMPARE_SMOKE)
+        assert cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "two"), "--workers", "8"]) == 0
+        assert widths == [2]
+        one = write_config(tmp_path, "one.json", {**COMPARE_SMOKE, "batch_sizes": [8]})
+        assert cli.main(["compare", "--config", one, "--out", str(tmp_path / "one"), "--workers", "8"]) == 0
+        assert widths == [2]  # one cell trains serially, with no pool
+        assert (tmp_path / "two" / "accuracy.csv").read_bytes().startswith(
+            (tmp_path / "one" / "accuracy.csv").read_bytes())
+
     def test_completed_output_untouched(self, tmp_path):
         cfg = write_config(tmp_path, "c.json", COMPARE_SMOKE)
         cli.main(["compare", "--config", cfg, "--out", str(tmp_path / "a"), "--workers", "1"])
@@ -720,6 +791,18 @@ class TestSerRunCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(tmp_path / "run.json") in err
         assert not (tmp_path / "o").exists()
+
+    def test_run_doc_refuses_loss_curves_train_cannot_write(self):
+        # n_steps losses, or fewer ending non-finite, all finite before the last
+        cfg = cli._check(TRAIN_TINY, cli.TRAIN_SCHEMA)
+        config = cli._train_config(cfg)
+        tx, rx = train.init_model(config)
+        points, n = train.constellation(tx, config.power), config.n_steps
+        for losses in ([1.0] * n, [1.0, math.nan], [1.0] * (n - 1) + [math.inf]):
+            assert cli._run_doc(cfg, losses, points, 0.5, tx, rx)["loss_curve"][:-1] == losses[:-1]
+        for losses in ([1.0] * (n + 1), [1.0, math.nan, *[1.0] * (n - 2)], [1.0] * (n - 1), []):
+            with pytest.raises(ValueError, match="loss_curve"):
+                cli._run_doc(cfg, losses, points, 0.5, tx, rx)
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())

@@ -244,8 +244,10 @@ class TestTrainRun:
                     result = train.train_run(config)
                     raw, _ = nn.mlp_forward(np.arange(config.M), result.tx)
                     expected, _ = comm.normalize_average(raw, config.power)
+                    recomputed = train.constellation(result.tx, config.power)
                 assert math.isfinite(result.loss_curve[-1]) == (config.lr < 1)
                 assert np.array_equal(result.constellation, expected, equal_nan=True)
+                assert np.array_equal(recomputed, result.constellation, equal_nan=True)
 
     def test_loss_finite_throughout(self):
         result = train.train_run(small_config(data_budget=8 * 50))
@@ -306,8 +308,10 @@ class TestTrainRun:
             small_config(tx_hidden=(0,))
         with pytest.raises(ValueError):
             small_config(init_seed=-1)
-        with pytest.raises(ValueError):
-            small_config(power=float("nan"))
+        # a non-finite snr_db or power has no noise variance; lr has its own check
+        for bad in ({"power": float("nan")}, {"snr_db": math.inf}, {"power": math.inf}, {"lr": math.nan}):
+            with pytest.raises(ValueError):
+                small_config(**bad)
 
     @pytest.mark.parametrize("snr_db, power", [(4000, 1.0), (-4000, 1.0), (-3000, 1e10), (3300, 1e-30)])
     def test_snr_whose_noise_variance_under_or_overflows_rejected(self, snr_db, power):
