@@ -9,8 +9,9 @@ vector each, which Adam updates in a fixed number of whole-vector operations.
 
 mlp_forward, mlp_backward and softmax_cross_entropy write their per-call
 arrays into a workspace: a plain dict, passed as `ws`, that keeps one entry
-per pass and row count, holding the arrays of every layer, so repeated calls
-allocate nothing. A workspace serves one network. Its arrays are overwritten
+per pass and row count, so repeated calls allocate nothing. A layer keeps only
+arrays read again: its ReLU overwrites its pre-activation, and its dZ the
+upstream gradient. A workspace serves one network. Its arrays are overwritten
 by the next call of the same pass on the same row count, so results taken
 from one are valid until then. Without a workspace a call returns fresh arrays.
 """
@@ -89,14 +90,15 @@ def _buffers(ws: dict | None, key: tuple, build):
 
 
 def mlp_forward(X: np.ndarray, mlp: Mlp, *, ws: dict | None = None) -> tuple[np.ndarray, list]:
-    """Forward pass. Returns output and a cache of (layer input, pre-activation) pairs.
+    """Forward pass. Returns output and a cache of (layer input, output) pairs.
 
     X is an (N, in_dim) float array, or a 1-D integer array of N message
     indices standing for the one-hot rows of those indices. For an index
     input the first layer is the row lookup W0[X] + b0, which equals the
     one-hot matmul whenever W0 is finite.
 
-    The activations and the cache's arrays live in the workspace `ws`.
+    The cache's arrays live in the workspace `ws`. A hidden layer's output is
+    its ReLU, written over its pre-activation: max(z, 0) > 0 exactly when z > 0.
     """
     if X.ndim == 1:
         if X.dtype.kind not in "iu":
@@ -105,21 +107,18 @@ def mlp_forward(X: np.ndarray, mlp: Mlp, *, ws: dict | None = None) -> tuple[np.
             raise ValueError(f"index input out of range [0, {mlp.in_dim})")
     elif X.ndim != 2 or X.shape[1] != mlp.in_dim:
         raise ValueError(f"input has shape {X.shape}, expected (*, {mlp.in_dim})")
-    # per layer: the pre-activation Z and, on a hidden (ReLU) layer, its activation
+    bufs = _buffers(ws, ("forward", len(X)), lambda: [np.empty((len(X), W.shape[1])) for W in mlp.weights])
     last = len(mlp.weights) - 1
-    bufs = _buffers(ws, ("forward", len(X)), lambda: [
-        (np.empty((len(X), W.shape[1])), np.empty((len(X), W.shape[1])) if k < last else None)
-        for k, W in enumerate(mlp.weights)])
     cache = []
     A = X
-    for W, b, (Z, relu_out) in zip(mlp.weights, mlp.biases, bufs, strict=True):
+    for k, (W, b, Z) in enumerate(zip(mlp.weights, mlp.biases, bufs, strict=True)):
         if A.ndim == 1:
             np.take(W, A, axis=0, out=Z, mode="clip")  # in range: checked above
         else:
             np.matmul(A, W, out=Z)
         Z += b
         cache.append((A, Z))
-        A = Z if relu_out is None else np.maximum(Z, 0.0, out=relu_out)
+        A = Z if k == last else np.maximum(Z, 0.0, out=Z)
     return A, cache
 
 
@@ -136,21 +135,21 @@ def mlp_backward(
         raise ValueError("cache does not match network depth")
     if dY.shape != (cache[-1][1].shape):
         raise ValueError("dY shape does not match forward output")
-    # per layer: the ReLU mask and dZ (None on the linear last layer), then dA or the flat scatter index
+    # per layer: the ReLU mask (None on the linear last layer), then dA or the flat scatter
+    # index; a hidden layer's dZ overwrites the dA it receives, in the layer above's buffer
     last = len(cache) - 1
     bufs = _buffers(ws, ("backward", len(dY), cache[0][0].ndim), lambda: [
-        (*((np.empty(Z.shape, bool), np.empty(Z.shape)) if k < last else (None, None)),
+        (np.empty(Z.shape, bool) if k < last else None,
          np.empty(Z.shape, np.intp) if A_in.ndim == 1 else np.empty((len(Z), A_in.shape[1])))
         for k, (A_in, Z) in enumerate(cache)])
     grads = mlp.grads
     dA = dY
-    for k in range(len(mlp.weights) - 1, -1, -1):
-        (A_in, Z), (mask, dZ, dA_out) = cache[k], bufs[k]
-        if mask is None:
-            dZ = dA
-        else:
+    for k in range(last, -1, -1):
+        (A_in, Z), (mask, dA_out) = cache[k], bufs[k]
+        dZ = dA
+        if mask is not None:
             # ReLU subgradient at 0 taken as 0
-            np.multiply(dA, np.greater(Z, 0.0, out=mask), out=dZ)
+            np.multiply(dZ, np.greater(Z, 0.0, out=mask), out=dZ)
         if A_in.ndim == 1:
             _one_hot_grad(grads[2 * k], A_in, dZ, dA_out)
             dA = None
@@ -212,11 +211,12 @@ def softmax_cross_entropy(
 class Adam:
     """Adam over one flat parameter vector, updated in place.
 
-    params is a one-item list holding that vector (see pack_params); step
-    takes the matching one-item gradient list. Each step is a fixed sequence
-    of whole-vector ufuncs into preallocated scratch arrays, in the update
-    formula's own evaluation order, so every element rounds as it would in
-    the per-array expression; once 1 - beta1**t rounds to 1.0, its division is skipped.
+    params is a one-item list holding that vector (see pack_params); step takes
+    the matching one-item gradient list and consumes it as scratch: the caller
+    rewrites it whole before the next step. A step is a fixed sequence of whole-vector
+    ufuncs over five vectors (parameters, gradients, m, v, one scratch; 372 KB each at
+    paper scale) in the update formula's own evaluation order, so every element rounds as
+    in the per-array expression; once 1 - beta1**t rounds to 1.0, its division is skipped.
     """
 
     params: list[np.ndarray]
@@ -230,31 +230,30 @@ class Adam:
         if len(self.params) != 1:
             raise ValueError("Adam takes a one-item list holding the flat parameter vector")
         p = self.params[0]
-        self.m, self.v = np.zeros_like(p), np.zeros_like(p)
-        self._update, self._denom = np.empty_like(p), np.empty_like(p)
+        self.m, self.v, self._update = np.zeros_like(p), np.zeros_like(p), np.empty_like(p)
 
     def step(self, grads: list[np.ndarray]) -> None:
         if len(grads) != 1 or grads[0].shape != self.params[0].shape:
             raise ValueError("gradient does not match the parameter vector")
         (p,), (g,) = self.params, grads
-        m, v, u, d = self.m, self.v, self._update, self._denom
+        m, v, u = self.m, self.v, self._update
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=u)
-        m += u
+        # v = b2*v + (1-b2)*g*g;  m = b1*m + (1-b1)*g, through g itself once v has read it
         v *= self.beta2
         np.multiply(g, 1.0 - self.beta2, out=u)
         u *= g
         v += u
+        m *= self.beta1
+        g *= 1.0 - self.beta1
+        m += g
         # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps), with m / b1t = m once b1t is 1.0
         np.multiply(m if b1t == 1.0 else np.divide(m, b1t, out=u), self.lr, out=u)
-        np.divide(v, b2t, out=d)
-        np.sqrt(d, out=d)
-        d += self.epsilon
-        u /= d
+        np.divide(v, b2t, out=g)
+        np.sqrt(g, out=g)
+        g += self.epsilon
+        u /= g
         p -= u
 
 

@@ -36,9 +36,11 @@ def relu_kink_margin(architecture, tx, rx, batch, noise, power):
     y = (comm.gather(points, batch) if architecture == "proposed" else points) + noise
     _, rx_cache = nn.mlp_forward(y, rx)
     margin = np.inf
-    for cache in (tx_cache, rx_cache):
-        for _, Z in cache[:-1]:  # every layer but the last is ReLU
-            margin = min(margin, float(np.min(np.abs(Z))))
+    for mlp, cache in ((tx, tx_cache), (rx, rx_cache)):
+        # every layer but the last is ReLU; the cache keeps its output, so
+        # its pre-activation is recomputed from the layer input as the forward does
+        for (A, _), W, b in zip(cache[:-1], mlp.weights, mlp.biases):
+            margin = min(margin, float(np.min(np.abs(A @ W + b))))
     return margin
 
 

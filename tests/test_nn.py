@@ -200,6 +200,46 @@ class TestMlpBackward:
 
         assert gradient_check(f, X0.ravel()) < 1e-6
 
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("index_input", [False, True])
+    def test_repeat_on_one_cache_and_workspace(self, n_layers, index_input):
+        # the backward writes each hidden layer's dZ over its upstream gradient
+        # and reads the ReLU mask off the forward's in-place output, so a second
+        # call must find dY and the cache intact and give the same results
+        rng = np.random.default_rng(50 + n_layers)
+        mlp = nn.build_mlp([6, 5, 4, 3][: n_layers + 1], rng)
+        # pre-activations exactly 0.0, -0.0 (of either sign for a matrix input)
+        # and, on the last hidden layer, nan (its output layer is linear, so dA stays finite)
+        for k in range(n_layers - 1):
+            mlp.weights[k][:, :2] = [0.0, -0.0]
+            mlp.biases[k][:2] = [0.0, -0.0]
+        if n_layers > 1:
+            mlp.biases[n_layers - 2][2] = np.nan
+        idx = rng.permutation(6)[:4]  # distinct, so the first weight gradient shows dZ0 row by row
+        X = idx if index_input else rng.normal(size=(4, 6))
+        ws = {}
+        Y, cache = nn.mlp_forward(X, mlp, ws=ws)
+        cache_before = [(A.copy(), Z.copy()) for A, Z in cache]
+        dY = rng.normal(size=Y.shape)
+        dY_before = dY.copy()
+        dX, grads = nn.mlp_backward(dY, cache, mlp, ws=ws)
+        first = [None if dX is None else dX.copy(), *(g.copy() for g in grads)]
+        for g in grads:
+            g.fill(np.inf)
+        dX, grads = nn.mlp_backward(dY, cache, mlp, ws=ws)
+        assert all(a is b is None or np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(first, [dX, *grads], strict=True))
+        assert (dX is None) == index_input
+        assert np.array_equal(dY, dY_before)
+        assert all(np.array_equal(A, A0, equal_nan=True) and np.array_equal(Z, Z0, equal_nan=True)
+                   for (A, Z), (A0, Z0) in zip(cache, cache_before, strict=True))
+        for k in range(n_layers - 1):
+            # no gradient passes a zero or nan pre-activation
+            dZ_cols = [0, 1, 2] if k == n_layers - 2 else [0, 1]
+            assert not grads[2 * k + 1][dZ_cols].any()
+            if index_input and k == 0:
+                assert not grads[0][np.ix_(idx, dZ_cols)].any()
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
@@ -341,8 +381,10 @@ class TestAdam:
         reference_adam(ref, grad_steps, lr, *betas, 1e-8, t0=t0)
 
         opt = nn.Adam([flat], lr=lr, beta1=betas[0], beta2=betas[1], epsilon=1e-8, t=t0)
+        g_flat = np.empty_like(flat)  # one reused vector, rewritten whole before each step
         for grads in grad_steps:
-            opt.step([np.concatenate([g.ravel() for g in grads])])
+            np.concatenate([g.ravel() for g in grads], out=g_flat)
+            opt.step([g_flat])
         assert np.array_equal(flat, np.concatenate([p.ravel() for p in ref]))
 
 

@@ -368,7 +368,8 @@ class TestWorkspace:
 
     def test_row_count_change_between_calls(self):
         # one workspace serves batches of changing size without handing back
-        # an array of a stale shape or stale contents
+        # an array of a stale shape or stale contents; grads starts as nan
+        # because Adam.step leaves scratch values there, so every entry must be rewritten
         rng = np.random.default_rng(40)
         tx = nn.build_mlp([8, 6, 5, 2], rng)
         rx = nn.build_mlp([2, 7, 8], rng)
@@ -378,8 +379,10 @@ class TestWorkspace:
             for scope in train.SCOPES.values():
                 batch = rng.integers(0, 8, size=n)
                 noise = rng.normal(scale=0.1, size=(n, 2))
+                grads.fill(np.nan)
                 loss, symbols = train.loss_and_grads(tx, rx, batch, noise, 1.0, scope, ws=ws)
                 got = grads.copy()
+                grads.fill(np.nan)
                 ref_loss, ref_symbols = train.loss_and_grads(tx, rx, batch, noise, 1.0, scope)
                 assert loss == ref_loss
                 assert np.array_equal(symbols, ref_symbols)
@@ -409,6 +412,37 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak - start < 256 * 1024
+
+    @pytest.mark.parametrize("architecture, workspace_kib", [("baseline", 2427), ("proposed", 1900)])
+    def test_step_keeps_only_arrays_read_again(self, architecture, workspace_kib):
+        # paper scale, Bs=256. Per hidden layer the workspace holds one forward
+        # array (the ReLU overwrites its pre-activation), one mask and one
+        # input-gradient or scatter-index buffer (dZ overwrites the upstream
+        # gradient); Adam holds m, v and one scratch vector of 46 530 parameters
+        config = train.TrainConfig(batch_size=256, architecture=architecture)
+        tx, rx = train.init_model(config)
+        params, grads = nn.pack_params(tx, rx)
+        opt = nn.Adam([params], lr=config.lr)
+        ws = {}
+        train.train_step(tx, rx, opt, grads, train.sample_batch(config.M, 256, np.random.default_rng(1)),
+                         comm.awgn_noise((256, 2), config.sigma2, np.random.default_rng(2)), config, ws=ws)
+
+        def kib(holder):  # the distinct base arrays that `holder` reaches
+            bases, todo = {}, [holder]
+            while todo:
+                x = todo.pop()
+                if isinstance(x, np.ndarray):
+                    while x.base is not None:
+                        x = x.base
+                    bases[id(x)] = x
+                elif isinstance(x, (list, tuple)):
+                    todo.extend(x)
+                elif isinstance(x, dict):
+                    todo.extend(x.values())
+            return sum(a.nbytes for a in bases.values()) / 1024
+
+        assert kib(ws) == workspace_kib
+        assert kib(vars(opt)) - kib(opt.params) == 3 * 46530 * 8 / 1024  # 1090.5 KiB
 
 
 # The functions the benchmark's tracer (perfbench/tracer.py) replaces by
