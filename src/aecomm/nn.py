@@ -1,11 +1,11 @@
 """Minimal dense-network machinery: forward/backward passes and Adam.
 
 Everything operates on float64 numpy arrays. An MLP is a flat list of dense
-layers with one layout: every layer but the last applies a ReLU, and the last
-is linear. The forward pass returns a cache consumed by the backward pass,
-which writes the parameter gradients into the MLP's own gradient arrays.
-pack_params moves several MLPs' parameters and gradients into one contiguous
-vector each, which Adam updates in a fixed number of whole-vector operations.
+layers: a ReLU on each but the last, which is linear. The forward pass returns
+a cache for the backward pass, which writes the parameter gradients into the
+MLP's own arrays. Callers keep layer shapes consistent; only indices and labels, which
+numpy would clip or wrap, are range-checked. pack_params moves several MLPs'
+parameters and gradients into one contiguous vector each, which Adam updates.
 
 mlp_forward, mlp_backward and softmax_cross_entropy write their per-call
 arrays into a workspace: a plain dict, passed as `ws`, that keeps one entry
@@ -28,26 +28,17 @@ import numpy as np
 class Mlp:
     """Dense network parameters: weights[k] is (in_dim, out_dim), biases[k] is (out_dim,).
 
-    Every layer but the last applies a ReLU; the last is linear. grads, passed
-    by keyword only, holds one gradient array per parameter, ordered like
-    param_list(); mlp_backward overwrites it on every call.
+    Every layer but the last applies a ReLU; the last is linear; the shapes
+    chain. grads, no constructor argument, holds one gradient array per
+    parameter, ordered like param_list(); mlp_backward overwrites it each call.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    grads: list[np.ndarray] | None = field(default=None, repr=False, compare=False, kw_only=True)
+    grads: list[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases):
-            raise ValueError("weights and biases must have equal length")
-        for k in range(len(self.weights) - 1):
-            if self.weights[k].shape[1] != self.weights[k + 1].shape[0]:
-                raise ValueError("consecutive layer dimensions do not chain")
-        for W, b in zip(self.weights, self.biases):
-            if W.shape[1] != b.shape[0]:
-                raise ValueError("bias shape inconsistent with weight matrix")
-        if self.grads is None:
-            self.grads = [np.zeros_like(p) for p in self.param_list()]
+        self.grads = [np.zeros_like(p) for p in self.param_list()]
 
     @property
     def in_dim(self) -> int:
@@ -72,9 +63,7 @@ def glorot_init(in_dim: int, out_dim: int, rng: np.random.Generator) -> tuple[np
 
 
 def build_mlp(layer_sizes: Sequence[int], rng: np.random.Generator) -> Mlp:
-    """Glorot-initialized MLP: ReLU on hidden layers, linear on the last."""
-    if len(layer_sizes) < 2:
-        raise ValueError("need at least input and output sizes")
+    """Glorot-initialized MLP over [input, *hidden, output] sizes: ReLU on hidden layers, linear on the last."""
     layers = [glorot_init(m, n, rng) for m, n in zip(layer_sizes, layer_sizes[1:])]
     return Mlp([W for W, _ in layers], [b for _, b in layers])
 
@@ -105,8 +94,6 @@ def mlp_forward(X: np.ndarray, mlp: Mlp, *, ws: dict | None = None) -> tuple[np.
             raise ValueError(f"index input has dtype {X.dtype}, expected integers")
         if X.size and (np.minimum.reduce(X) < 0 or np.maximum.reduce(X) >= mlp.in_dim):
             raise ValueError(f"index input out of range [0, {mlp.in_dim})")
-    elif X.ndim != 2 or X.shape[1] != mlp.in_dim:
-        raise ValueError(f"input has shape {X.shape}, expected (*, {mlp.in_dim})")
     bufs = _buffers(ws, ("forward", len(X)), lambda: [np.empty((len(X), W.shape[1])) for W in mlp.weights])
     last = len(mlp.weights) - 1
     cache = []
@@ -125,16 +112,12 @@ def mlp_forward(X: np.ndarray, mlp: Mlp, *, ws: dict | None = None) -> tuple[np.
 def mlp_backward(
     dY: np.ndarray, cache: list, mlp: Mlp, *, ws: dict | None = None
 ) -> tuple[np.ndarray | None, list[np.ndarray]]:
-    """Backward pass through the cached forward.
+    """Backward pass through mlp_forward's cache on mlp, for a dY shaped like that forward's output.
 
     Overwrites mlp.grads and returns (dX, mlp.grads). dX is None for an
     index input, whose gradient nothing uses. dX and the upstream gradients
     live in the workspace `ws`.
     """
-    if len(cache) != len(mlp.weights):
-        raise ValueError("cache does not match network depth")
-    if dY.shape != (cache[-1][1].shape):
-        raise ValueError("dY shape does not match forward output")
     # per layer: the ReLU mask (None on the linear last layer), then dA or the flat scatter
     # index; a hidden layer's dZ overwrites the dA it receives, in the layer above's buffer
     last = len(cache) - 1
@@ -182,15 +165,13 @@ def _one_hot_grad(out: np.ndarray, idx: np.ndarray, dZ: np.ndarray, flat: np.nda
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray, *, ws: dict | None = None
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of row-wise softmax against integer labels.
+    """Mean cross-entropy of row-wise softmax against integer labels, one per logit row.
 
     Returns (loss, dloss/dlogits); the gradient already carries the 1/rows
     factor and lives in the workspace `ws`.
     """
     labels = np.asarray(labels)
     n, m = logits.shape
-    if labels.shape != (n,):
-        raise ValueError("labels length must equal number of logit rows")
     if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= m:
         raise ValueError("label out of range")
     # one buffer holds the shifted logits, then their exponentials, then the gradient
@@ -207,24 +188,24 @@ def softmax_cross_entropy(
     return loss, e
 
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class Adam:
-    """Adam over one flat parameter vector, updated in place.
+    """Adam over one flat parameter vector, updated in place, with BETA1, BETA2 and EPSILON.
 
     params is a one-item list holding that vector (see pack_params); step takes
     the matching one-item gradient list and consumes it as scratch: the caller
     rewrites it whole before the next step. A step is a fixed sequence of whole-vector
     ufuncs over five vectors (parameters, gradients, m, v, one scratch; 372 KB each at
     paper scale) in the update formula's own evaluation order, so every element rounds as
-    in the per-array expression; once 1 - beta1**t rounds to 1.0, its division is skipped.
+    in the per-array expression; once 1 - BETA1**t rounds to 1.0, its division is skipped.
     """
 
     params: list[np.ndarray]
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    t: int = 0
+    lr: float
+    t: int = field(default=0, init=False)  # steps taken
 
     def __post_init__(self):
         if len(self.params) != 1:
@@ -238,21 +219,21 @@ class Adam:
         (p,), (g,) = self.params, grads
         m, v, u = self.m, self.v, self._update
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         # v = b2*v + (1-b2)*g*g;  m = b1*m + (1-b1)*g, through g itself once v has read it
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=u)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=u)
         u *= g
         v += u
-        m *= self.beta1
-        g *= 1.0 - self.beta1
+        m *= BETA1
+        g *= 1.0 - BETA1
         m += g
         # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps), with m / b1t = m once b1t is 1.0
         np.multiply(m if b1t == 1.0 else np.divide(m, b1t, out=u), self.lr, out=u)
         np.divide(v, b2t, out=g)
         np.sqrt(g, out=g)
-        g += self.epsilon
+        g += EPSILON
         u /= g
         p -= u
 

@@ -94,8 +94,6 @@ def init_model(config: TrainConfig) -> tuple[nn.Mlp, nn.Mlp]:
 
 def sample_batch(M: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform i.i.d. message indices, with replacement."""
-    if M < 1 or batch_size < 1:
-        raise ValueError("M and batch_size must be >= 1")
     return comm.draw_indices(rng, M, batch_size)
 
 

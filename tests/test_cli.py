@@ -77,9 +77,28 @@ class TestConfigValidation:
             assert capsys.readouterr().err.splitlines()[-1] == "error: unknown config keys: ['noise_seed']"
             assert not out.exists()
 
-    def test_bad_value_exits_2(self, tmp_path):
+    def test_bad_value_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"architecture": "magic"})
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        # outside inputs that reach a rejection in _check, TrainConfig or comm, and its message
+        for k, (command, payload, message) in enumerate([
+            ("train", [], "config must be a JSON object"),
+            ("train", 1, "config must be a JSON object"),
+            ("norm-error", {"eb": "1"}, "invalid value for 'eb': '1'"),
+            ("ser", {"run_json": "run.json", "snr_db_list": ["0"]}, "invalid value for 'snr_db_list': ['0']"),
+            ("train", {"batch_size": 0}, "batch_size must be >= 1"),
+            ("train", {"batch_size": -1}, "batch_size must be >= 1"),
+            ("compare", {"batch_sizes": [0]}, "batch_size must be >= 1"),
+            ("train", {"power": 0}, "power must be positive"),
+            ("train", {"init_seed": -1}, "seeds must be >= 0"),
+            ("train", {"tx_hidden": [0]}, "hidden layer sizes must be >= 1"),
+        ]):
+            cfg = write_config(tmp_path, f"c{k}.json", payload)
+            out = tmp_path / f"o{k}"
+            capsys.readouterr()
+            assert cli.main([command, "--config", cfg, "--out", str(out), "--workers", "1"]) == 2, payload
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not out.exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
@@ -607,6 +626,17 @@ class TestWholeFiles:
         assert capsys.readouterr().err.startswith("failure: ")
         assert list((tmp_path / "bad").iterdir()) == []
 
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, capsys):
+        # a directory named run.json in --out makes the rename onto it fail
+        out = tmp_path / "o"
+        (out / "run.json").mkdir(parents=True)
+        tcfg = write_config(tmp_path, "t.json", {**TRAIN_SMOKE, "data_budget": 640})
+        assert cli.main(["train", "--config", tcfg, "--out", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("failure: ")
+        assert [p.name for p in out.iterdir()] == ["run.json"]  # no run.json.tmp, constellation.csv or meta
+        assert not any((out / "run.json").iterdir())
+
 
 class TestSerCommand:
     def test_missing_run_json_exits_2(self, tmp_path):
@@ -739,6 +769,9 @@ RUN_EDITS = {
     "loss_curve one short": (("loss_curve",), lambda v: v[:-1]),
     "validation_accuracy y": (("validation_accuracy",), lambda v: "y"),
     "validation_accuracy nan": (("validation_accuracy",), lambda v: math.nan),
+    # the tiny run scores 1.0, which float() reads from both; JSON types must still match
+    "validation_accuracy int": (("validation_accuracy",), lambda v: 1),
+    "validation_accuracy true": (("validation_accuracy",), lambda v: True),
     "validation extra key": (("config",), lambda v: {**v, "val_extra": 1}),
     "validation no seed": (("config",), lambda v: {k: x for k, x in v.items() if k != "val_seed"}),
     "validation batch_size 0": (("config", "val_batch_size"), lambda v: 0),

@@ -345,14 +345,14 @@ class TestAdam:
         assert np.array_equal(run(), run())
 
     def test_shape_mismatch(self):
-        opt = nn.Adam([np.zeros(3)])
+        opt = nn.Adam([np.zeros(3)], lr=0.001)
         with pytest.raises(ValueError):
             opt.step([np.zeros(4)])
 
     def test_one_flat_vector_only(self):
         with pytest.raises(ValueError):
-            nn.Adam([np.zeros(3), np.zeros(2)])
-        opt = nn.Adam([np.zeros(3)])
+            nn.Adam([np.zeros(3), np.zeros(2)], lr=0.001)
+        opt = nn.Adam([np.zeros(3)], lr=0.001)
         with pytest.raises(ValueError):
             opt.step([np.zeros(3), np.zeros(3)])
 
@@ -363,24 +363,24 @@ class TestAdam:
         ),
         n_steps=st.integers(1, 8),
         lr=st.sampled_from([0.001, 0.008, 0.02, 0.3]),
-        betas=st.sampled_from([(0.9, 0.999), (0.5, 0.9), (0.0, 0.0)]),
         t0=st.sampled_from([0, 350]),
         seed=st.integers(0, 2**32 - 1),
     )
     # at beta1 = 0.9, 1 - beta1**t first rounds to 1.0 at t = 356, where the
     # flat step stops dividing by it; these steps t = 351..358 cross that point
-    @example(shapes=[(5, 3), (3,), (7,)], n_steps=8, lr=0.008, betas=(0.9, 0.999), t0=350, seed=0)
-    @example(shapes=[(4,), (2, 6)], n_steps=8, lr=0.3, betas=(0.9, 0.9), t0=350, seed=1)
-    def test_flat_step_matches_per_array_formula(self, shapes, n_steps, lr, betas, t0, seed):
+    @example(shapes=[(5, 3), (3,), (7,)], n_steps=8, lr=0.008, t0=350, seed=0)
+    @example(shapes=[(4,), (2, 6)], n_steps=8, lr=0.3, t0=350, seed=1)
+    def test_flat_step_matches_per_array_formula(self, shapes, n_steps, lr, t0, seed):
         rng = np.random.default_rng(seed)
         ref = [rng.normal(size=s) for s in shapes]
         flat = np.concatenate([p.ravel() for p in ref])
         grad_steps = [
             [rng.normal(size=s) * 10.0 ** rng.uniform(-6, 3) for s in shapes] for _ in range(n_steps)
         ]
-        reference_adam(ref, grad_steps, lr, *betas, 1e-8, t0=t0)
+        reference_adam(ref, grad_steps, lr, 0.9, 0.999, 1e-8, t0=t0)
 
-        opt = nn.Adam([flat], lr=lr, beta1=betas[0], beta2=betas[1], epsilon=1e-8, t=t0)
+        opt = nn.Adam([flat], lr=lr)
+        opt.t = t0
         g_flat = np.empty_like(flat)  # one reused vector, rewritten whole before each step
         for grads in grad_steps:
             np.concatenate([g.ravel() for g in grads], out=g_flat)
