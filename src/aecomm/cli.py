@@ -200,12 +200,14 @@ def _meta_text(name: str, cfg: dict) -> str:
     return json.dumps({"command": name, "config": cfg}, indent=2, sort_keys=True) + "\n"
 
 
-def _write_whole(path: Path, text: str) -> None:
-    """Write `text` to `path` through a temporary file beside it and a rename, so
-    `path` holds the whole text or its old content, and no temporary file is left."""
+def _write_whole(path: Path, pieces) -> None:
+    """Write the strings `pieces` in turn to `path` through a temporary file beside it and
+    a rename, so `path` holds all of them or its old content, and no temporary file is
+    left, also when `pieces` raises."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(text.encode())
+        with open(tmp, "wb") as fh:
+            fh.writelines(piece.encode() for piece in pieces)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -214,7 +216,7 @@ def _write_whole(path: Path, text: str) -> None:
 
 def _write_meta(out_dir: Path, name: str, cfg: dict) -> None:
     """Write the meta, last of a command's files: it marks a finished command."""
-    _write_whole(out_dir / f"{name}_meta.json", _meta_text(name, cfg))
+    _write_whole(out_dir / f"{name}_meta.json", [_meta_text(name, cfg)])
 
 
 def _train_config(cfg: dict, **overrides) -> train.TrainConfig:
@@ -275,7 +277,7 @@ def cmd_norm_error(cfg: dict, out_dir: Path, workers: int) -> None:
     if empty:
         raise RuntimeError(f"no batch left to average in (M, Bs) cells {empty}")
     rows = (f"{st.M},{st.batch_size},{st.mean_error:.17g},{st.std_error:.17g},{st.n}\r\n" for st in stats)
-    _write_whole(out_dir / "norm_error.csv", "M,Bs,mean_error,std_error,n\r\n" + "".join(rows))
+    _write_whole(out_dir / "norm_error.csv", ["M,Bs,mean_error,std_error,n\r\n", *rows])
     _write_meta(out_dir, "norm_error", cfg)
 
 
@@ -331,7 +333,7 @@ def cmd_compare(cfg: dict, out_dir: Path, workers: int) -> None:
         raise ConfigError(f"{meta_path} records a different config; resume with that one or use a new --out")
     if not meta_path.exists() and out_path.exists() and out_path.stat().st_size:
         raise ConfigError(f"{out_path} has no compare_meta.json to tell its config; use a new --out")
-    _write_whole(meta_path, meta)
+    _write_whole(meta_path, [meta])
     cells = [(bs, i, d) for bs in cfg["batch_sizes"] for i in cfg["init_seeds"] for d in cfg["data_seeds"]]
     keys = [[f"{arch},{bs},{i},{d},".encode() for arch in train.ARCHITECTURES] for bs, i, d in cells]
     done = _resume(out_path, keys)
@@ -382,13 +384,21 @@ def _run_doc(cfg: dict, loss_curve, points, accuracy: float, tx, rx) -> dict:
     }
 
 
+def _json_pieces(doc: dict):
+    """json.dumps(doc, sort_keys=True, allow_nan=False) + "\n" in pieces, one top-level key each,
+    so no more than one key's text is held at a time."""
+    yield "{"
+    for k, key in enumerate(sorted(doc)):
+        yield f"{', ' if k else ''}{json.dumps(key)}: {json.dumps(doc[key], sort_keys=True, allow_nan=False)}"
+    yield "}\n"
+
+
 def cmd_train(cfg: dict, out_dir: Path, workers: int) -> None:
     result, accuracy = _train_and_score(_train_config(cfg), cfg)
     doc = _run_doc(cfg, result.loss_curve, result.constellation, accuracy, result.tx, result.rx)
-    run_text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
-    points = "".join(f"{i},{re:.17g},{im:.17g}\n" for i, (re, im) in enumerate(result.constellation))
-    _write_whole(out_dir / "run.json", run_text)
-    _write_whole(out_dir / "constellation.csv", "index,re,im\n" + points)
+    points = (f"{i},{re:.17g},{im:.17g}\n" for i, (re, im) in enumerate(result.constellation))
+    _write_whole(out_dir / "run.json", _json_pieces(doc))
+    _write_whole(out_dir / "constellation.csv", ["index,re,im\n", *points])
     _write_meta(out_dir, "train", cfg)
 
 
@@ -456,7 +466,7 @@ def cmd_ser(cfg: dict, out_dir: Path, workers: int) -> None:
     rng = np.random.default_rng(cfg["seed"])
     rows = metrics.ser_sweep(points, rx, cfg["snr_db_list"], cfg["n_symbols"], rng, config.power)
     lines = (f"{snr_db:.17g},{ser:.17g},{lo:.17g},{hi:.17g}\r\n" for snr_db, ser, lo, hi in rows)
-    _write_whole(out_dir / "ser.csv", "snr_db,ser,ci_lo,ci_hi\r\n" + "".join(lines))
+    _write_whole(out_dir / "ser.csv", ["snr_db,ser,ci_lo,ci_hi\r\n", *lines])
     _write_meta(out_dir, "ser", cfg)
 
 

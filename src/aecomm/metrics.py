@@ -20,9 +20,10 @@ _Z95 = 1.959963984540054
 
 
 # Elements in the widest array of one block: norm-error draws this many batch
-# indices at a time, and the decoders (ser, validation) decode as many rows as
-# keep the widest per-row activation within it. Bounded blocks stay in cache,
-# so memory does not grow with n_batches * Bs, n_symbols or val_batch_size.
+# indices at a time, and the decoders (ser, validation) draw the noise of, send
+# and decode as many rows as keep the widest per-row activation within it.
+# Bounded blocks stay in cache. Held whole, 8 B each: norm-error's n_batches
+# errors per init and batch size, and the decoders' n_symbols labels.
 _BLOCK = 1 << 16
 
 
@@ -129,19 +130,20 @@ def norm_error_experiment(
 def _decode_errors(points: np.ndarray, rx: nn.Mlp, n: int, sigma2: float,
                    rng: np.random.Generator, ws: dict) -> int:
     """Wrong decisions of rx on n uniform labels sent as points[labels] through AWGN of
-    variance sigma2. The labels, then the noise, are drawn whole; the decode runs in
-    blocks of _BLOCK // (widest layer) rows each."""
+    variance sigma2. The labels are drawn whole (8 B each); then each window of
+    _BLOCK // (widest layer) rows draws its noise and is decoded. The draws are those
+    of one draw of all labels and then one of all noise, off the same rng."""
     block = max(1, _BLOCK // max(W.shape[1] for W in rx.weights))
     labels = comm.draw_indices(rng, points.shape[0], n)
-    y = comm.awgn(comm.gather(points, labels), sigma2, rng)
     errors = 0
     for a in range(0, n, block):
-        # a partial last block is decoded as the last full window, and only
-        # its new rows count: a pass's last bits depend on its row count
-        lo = max(0, min(a, n - block))
-        logits, _ = nn.mlp_forward(y[lo:a + block], rx, ws=ws)
-        wrong = comm.decode(logits) != labels[lo:a + block]
-        errors += int(np.count_nonzero(wrong[a - lo:]))
+        new = comm.awgn(comm.gather(points, labels[a:a + block]), sigma2, rng)
+        # a partial last window is decoded as a full one, led by the tail rows of
+        # the window before it, and only its new rows count: a pass's last bits
+        # depend on its row count
+        y = np.concatenate((y[len(new):], new)) if a and len(new) < block else new
+        logits, _ = nn.mlp_forward(y, rx, ws=ws)
+        errors += int(np.count_nonzero(comm.decode(logits)[len(y) - len(new):] != labels[a:a + block]))
     return errors
 
 

@@ -24,6 +24,9 @@ import numpy as np
 from . import comm, nn
 
 ARCHITECTURES = ("baseline", "proposed")
+# Symbols per draw: train_run draws the batches and the noise of _DRAW // batch_size
+# steps at a time (at least one step), so its draws do not grow with data_budget
+_DRAW = 4096
 # the normalization scope each architecture trains with (see loss_and_grads)
 SCOPES = {"baseline": "batch", "proposed": "alphabet"}
 
@@ -163,6 +166,7 @@ def train_run(config: TrainConfig) -> RunResult:
 
     Every step writes its activations and gradients into one workspace that
     lives as long as this call, so steps after the first allocate no large arrays.
+    The batches and the noise are drawn per block of _DRAW // batch_size steps.
     """
     tx, rx = init_model(config)
     params, grads = nn.pack_params(tx, rx)
@@ -171,13 +175,19 @@ def train_run(config: TrainConfig) -> RunResult:
     noise_rng = np.random.default_rng(np.random.SeedSequence(config.data_seed).spawn(1)[0])
     ws: dict = {}
 
+    def steps():
+        # a block's batches, then its noise: the generators are independent and hold
+        # no state between draws (the batches at a power-of-2 M), so the values and
+        # both final states equal one draw per step or per run
+        per_draw = max(1, _DRAW // config.batch_size)
+        for first in range(0, config.n_steps, per_draw):
+            k = min(per_draw, config.n_steps - first)
+            batches = sample_batch(config.M, k * config.batch_size, data_rng).reshape(k, -1)
+            yield from zip(batches, comm.awgn_noise((k, config.batch_size, 2), config.sigma2, noise_rng))
+
     loss_curve: list[float] = []
-    # one draw for all batches and one for all noise; they equal one draw per
-    # step, generator state included (the batches at a power-of-2 M)
-    batches = sample_batch(config.M, config.n_steps * config.batch_size, data_rng)
-    noise = comm.awgn_noise((config.n_steps, config.batch_size, 2), config.sigma2, noise_rng)
     try:
-        for batch, step_noise in zip(batches.reshape(config.n_steps, -1), noise):
+        for batch, step_noise in steps():
             loss = train_step(tx, rx, optimizer, grads, batch, step_noise, config, ws=ws)
             loss_curve.append(loss)
             if not math.isfinite(loss):
@@ -185,4 +195,3 @@ def train_run(config: TrainConfig) -> RunResult:
         return RunResult(loss_curve, tx, rx, constellation(tx, config.power))
     except comm.DegenerateInputError as exc:  # a transmitter whose outputs are all zero
         raise comm.DegenerateInputError(f"{config.describe(len(loss_curve))}: {exc}") from exc
-

@@ -1,9 +1,11 @@
 """Bit-for-bit reference of aecomm's outputs: sha256 sums of what fixed configs write.
 
 It covers the data files of criterion 8's small configs (train, norm-error, a
-1-cell compare, ser on the trained run) and, for each architecture at Bs 16
+1-cell compare, ser on the trained run), a ser on that run whose symbols fill
+three decode windows and part of a fourth, and, for each architecture at Bs 16
 and 256, the loss curve, constellation and parameters of a 200-step run at
-paper width (M=128, hidden [100, 100]).
+paper width (M=128, hidden [100, 100]), plus a 300-step proposed run at Bs=16,
+which spans two of train_run's draw blocks.
 
 Output bits depend on the OpenBLAS kernel and on numpy's SIMD dispatch, so the
 script always runs under PINS, which need only AVX2 (it re-executes itself
@@ -30,19 +32,24 @@ from pathlib import Path
 PINS = {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 GOLDEN = Path(__file__).with_name("golden.json")
 
-# criterion 8's configs (tests/test_acceptance.py) and data files of each command, in run
-# order; ser reads the train command's run.json
+# output directory: the command, its config and its data files, in run order. The first
+# four are criterion 8's configs (tests/test_acceptance.py); each ser reads the train
+# command's run.json, whose 16-wide receiver decodes 4096-row windows
 COMMANDS = {
-    "train": ({"M": 4, "batch_size": 32, "architecture": "proposed", "data_budget": 3200,
-               "tx_hidden": [16], "rx_hidden": [16], "val_batches": 3, "val_batch_size": 100},
+    "train": ("train", {"M": 4, "batch_size": 32, "architecture": "proposed", "data_budget": 3200,
+                        "tx_hidden": [16], "rx_hidden": [16], "val_batches": 3, "val_batch_size": 100},
               ["run.json", "constellation.csv"]),
-    "norm-error": ({"M_list": [4, 16], "batch_sizes": [4, 16], "n_inits": 3, "n_batches": 50,
-                    "tx_hidden": [10]}, ["norm_error.csv"]),
-    "compare": ({"M": 4, "batch_sizes": [8], "init_seeds": [0], "data_seeds": [100],
-                 "data_budget": 800, "tx_hidden": [10], "rx_hidden": [10],
-                 "val_batches": 2, "val_batch_size": 50}, ["accuracy.csv"]),
-    "ser": ({"run_json": "train/run.json", "n_symbols": 2000}, ["ser.csv"]),
+    "norm-error": ("norm-error", {"M_list": [4, 16], "batch_sizes": [4, 16], "n_inits": 3, "n_batches": 50,
+                                  "tx_hidden": [10]}, ["norm_error.csv"]),
+    "compare": ("compare", {"M": 4, "batch_sizes": [8], "init_seeds": [0], "data_seeds": [100],
+                            "data_budget": 800, "tx_hidden": [10], "rx_hidden": [10],
+                            "val_batches": 2, "val_batch_size": 50}, ["accuracy.csv"]),
+    "ser": ("ser", {"run_json": "train/run.json", "n_symbols": 2000}, ["ser.csv"]),
+    "ser-windows": ("ser", {"run_json": "train/run.json", "n_symbols": 3 * 4096 + 1000}, ["ser.csv"]),
 }
+# short paper-width runs (seeds 3/103): architecture, Bs and steps
+RUNS = {f"{arch} Bs={bs}": (arch, bs, 200) for arch in ("baseline", "proposed") for bs in (16, 256)}
+RUNS["proposed Bs=16, 300 steps"] = ("proposed", 16, 300)
 
 
 def _sha256(data: bytes) -> str:
@@ -72,7 +79,7 @@ def machine_facts() -> dict:
 
 
 def digests() -> dict:
-    """sha256 of each criterion-8 data file and of each short paper-width run's arrays."""
+    """sha256 of each data file of COMMANDS and of the arrays of each run of RUNS."""
     import numpy as np
 
     from aecomm import cli, train
@@ -80,24 +87,23 @@ def digests() -> dict:
     cli.pin_blas_threads()
     sums = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for command, (cfg, files) in COMMANDS.items():
-            out = Path(tmp, command)
+        for name, (command, cfg, files) in COMMANDS.items():
+            out = Path(tmp, name)
             if command == "ser":
                 cfg = {**cfg, "run_json": str(Path(tmp, cfg["run_json"]))}
             Path(tmp, "config.json").write_text(json.dumps(cfg))
             if cli.main([command, "--config", str(Path(tmp, "config.json")), "--out", str(out),
                          "--workers", "1"]) != 0:
                 raise RuntimeError(f"{command} failed")
-            for name in files:
-                sums[f"{command}/{name}"] = _sha256((out / name).read_bytes())
-    for arch in train.ARCHITECTURES:
-        for bs in (16, 256):
-            run = train.train_run(train.TrainConfig(
-                batch_size=bs, architecture=arch, data_budget=200 * bs, init_seed=3, data_seed=103))
-            params = np.concatenate([p.ravel() for p in run.tx.param_list() + run.rx.param_list()])
-            for part, a in (("loss_curve", np.asarray(run.loss_curve)), ("constellation", run.constellation),
-                            ("parameters", params)):
-                sums[f"{arch} Bs={bs}/{part}"] = _sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+            for file in files:
+                sums[f"{name}/{file}"] = _sha256((out / file).read_bytes())
+    for name, (arch, bs, steps) in RUNS.items():
+        run = train.train_run(train.TrainConfig(
+            batch_size=bs, architecture=arch, data_budget=steps * bs, init_seed=3, data_seed=103))
+        params = np.concatenate([p.ravel() for p in run.tx.param_list() + run.rx.param_list()])
+        for part, a in (("loss_curve", np.asarray(run.loss_curve)), ("constellation", run.constellation),
+                        ("parameters", params)):
+            sums[f"{name}/{part}"] = _sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes())
     return sums
 
 

@@ -418,6 +418,26 @@ class TestTrainCommand:
         assert None in doc["constellation"][0]
         assert doc["validation_accuracy"] is None  # a diverged run has no score
 
+    @pytest.mark.parametrize("payload", [{**TRAIN_SMOKE, "data_budget": 640}, TRAIN_DIVERGED])
+    def test_run_json_equals_one_shot_rendering(self, tmp_path, monkeypatch, payload):
+        # run.json is rendered one top-level key at a time; the file must equal the
+        # whole document's one json.dumps, byte for byte, a diverged run's nulls included
+        docs = []
+
+        def capturing(*args):
+            docs.append(run_doc(*args))
+            return docs[-1]
+
+        run_doc = cli._run_doc
+        monkeypatch.setattr(cli, "_run_doc", capturing)
+        cfg = write_config(tmp_path, "t.json", payload)
+        with np.errstate(all="ignore"):
+            assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        (doc,) = docs
+        assert ((tmp_path / "o" / "run.json").read_text()
+                == json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
+        assert (doc["validation_accuracy"] is None) == (payload is TRAIN_DIVERGED)
+
     def test_serialization_roundtrip(self, tmp_path):
         # ser's reader loads the constellation and receiver train_run returns, bit for bit
         for arch in train.ARCHITECTURES:
@@ -636,6 +656,19 @@ class TestWholeFiles:
         assert line.startswith("failure: ")
         assert [p.name for p in out.iterdir()] == ["run.json"]  # no run.json.tmp, constellation.csv or meta
         assert not any((out / "run.json").iterdir())
+
+    def test_pieces_that_raise_midway_leave_the_old_file(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text("old\n")
+
+        def pieces():
+            yield "{"
+            raise RuntimeError("rendering failed")
+
+        with pytest.raises(RuntimeError, match="rendering failed"):
+            cli._write_whole(path, pieces())
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]  # no run.json.tmp
+        assert path.read_text() == "old\n"
 
 
 class TestSerCommand:

@@ -415,6 +415,22 @@ class TestSerSweep:
             tracemalloc.stop()
         assert peak - start < 16 * 2**20
 
+    def test_memory_per_symbol(self):
+        # the labels are held whole, 8 B each, and drawn from 4 B of raw words each;
+        # the noise, the sent and received symbols and the logits are held per
+        # window. Holding the symbols and noise whole would take 40 B per symbol
+        rng = np.random.default_rng(23)
+        points, _ = comm.normalize_average(rng.normal(size=(128, 2)), 1.0)
+        n_symbols = 10**6
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            metrics.ser_sweep(points, matched_filter(points), [10.0], n_symbols, np.random.default_rng(24), 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 12 * n_symbols + 2**20
+
     def test_wilson_interval(self):
         lo, hi = metrics.wilson_interval(0, 100)
         assert lo == pytest.approx(0.0, abs=1e-12) and 0.0 < hi < 0.05

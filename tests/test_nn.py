@@ -50,7 +50,7 @@ class TestMlpForward:
         Y, _ = nn.mlp_forward(np.array([[-1.0, 2.0]]), mlp)
         assert np.array_equal(Y, [[-1.0, 2.0]])
 
-    def test_grads_is_keyword_only(self):
+    def test_third_positional_argument_refused(self):
         # a third positional argument, such as a list of activation tags, is refused
         with pytest.raises(TypeError):
             nn.Mlp([np.eye(2)], [np.zeros(2)], ["linear"])

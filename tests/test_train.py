@@ -230,6 +230,57 @@ class TestTrainRun:
         child = np.random.default_rng(np.random.SeedSequence(cfg.data_seed).spawn(1)[0])
         assert np.array_equal(noise, comm.awgn_noise((cfg.n_steps, cfg.batch_size, 2), cfg.sigma2, child))
 
+    def test_block_draws_equal_one_draw_per_step(self, monkeypatch):
+        # Bs=48 draws 85 steps a block: 3 full blocks and a partial fourth, with
+        # the values and final generator states of a loop that draws per step
+        config = small_config(M=16, batch_size=48, data_budget=48 * (3 * (train._DRAW // 48) + 10))
+        rngs = {}
+
+        def capturing(name, fn):
+            def wrapper(*args):
+                rngs[name] = args[-1]
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(train, "sample_batch", capturing("data", train.sample_batch))
+        monkeypatch.setattr(comm, "awgn_noise", capturing("noise", comm.awgn_noise))
+        result = train.train_run(config)
+        monkeypatch.undo()
+
+        tx, rx = train.init_model(config)
+        params, grads = nn.pack_params(tx, rx)
+        opt = nn.Adam([params], lr=config.lr)
+        data_rng = np.random.default_rng(config.data_seed)
+        noise_rng = np.random.default_rng(np.random.SeedSequence(config.data_seed).spawn(1)[0])
+        ws = {}
+        losses = [train.train_step(tx, rx, opt, grads, train.sample_batch(config.M, config.batch_size, data_rng),
+                                   comm.awgn_noise((config.batch_size, 2), config.sigma2, noise_rng), config, ws=ws)
+                  for _ in range(config.n_steps)]
+        assert result.loss_curve == losses
+        for a, b in zip(result.tx.param_list() + result.rx.param_list(), tx.param_list() + rx.param_list(),
+                        strict=True):
+            assert np.array_equal(a, b)
+        assert rngs["data"].bit_generator.state == data_rng.bit_generator.state
+        assert rngs["noise"].bit_generator.state == noise_rng.bit_generator.state
+
+    def test_memory_does_not_grow_with_data_budget(self):
+        # two draw blocks against eight: the last step of one block holds it while
+        # the next is drawn, and only the loss curve grows, by ~32 B a step; the
+        # batches and noise drawn whole would add 24 B a symbol (576 KiB here)
+        train.train_run(small_config())  # first-call allocations, outside the measurement
+        peaks = []
+        for blocks in (2, 8):
+            config = small_config(M=16, batch_size=64, data_budget=blocks * train._DRAW)
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                train.train_run(config)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - start)
+        assert peaks[1] - peaks[0] < 64 * 1024
+
     def test_constellation_satisfies_alphabet_constraint(self):
         result = train.train_run(small_config())
         power = np.mean(np.sum(result.constellation ** 2, axis=1))
@@ -499,9 +550,10 @@ class TestTracerVisibility:
         }
         if architecture == "proposed":
             per_step.update({"comm.gather": 1, "comm.gather_backward": 1})
-        # one draw gives the run's batches, and its last transmitter pass and
-        # normalization give its constellation
-        once = {"train.sample_batch": 1, "nn.mlp_forward.tx": 1, "comm.normalize_average": 1}
         for n_steps, got in zip((2, 3), runs):
+            # one draw gives the batches of each block of train._DRAW // Bs steps,
+            # and the run's last transmitter pass and normalization give its constellation
+            once = {"train.sample_batch": math.ceil(n_steps / (train._DRAW // 8)),
+                    "nn.mlp_forward.tx": 1, "comm.normalize_average": 1}
             assert got == {name: per_step.get(name, 0) * n_steps + once.get(name, 0)
                            for name in per_step.keys() | once.keys()}
