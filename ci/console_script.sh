@@ -8,7 +8,8 @@
 # stay finite (exit 1, no ser.csv: the overflow stops the run with a null
 # loss), a ser on copies of the run with another config.power, with
 # loss_curve "x" and with loss_curve cut to its first 3 entries (each exit 2,
-# no ser.csv), a tiny norm-error, a 2-cell compare whose copy, cut mid-row,
+# no ser.csv), a tiny norm-error, a norm-error at M=512 and Bs=3 run twice
+# (the same norm_error.csv bytes), a 2-cell compare whose copy, cut mid-row,
 # resumes to the same bytes, and a copy without compare_meta.json, which is
 # refused (exit 2) and left as it was; no command may leave a temporary file.
 # Usage: cd "$(mktemp -d)" && bash ci/console_script.sh
@@ -58,6 +59,10 @@ echo '{"M_list": [4], "batch_sizes": [4, 8], "n_inits": 2, "n_batches": 10}' > n
 aecomm norm-error --config norm_error.json --out ne
 test -s ne/norm_error.csv
 test -s ne/norm_error_meta.json
+echo '{"M_list": [512], "batch_sizes": [3], "n_inits": 2, "n_batches": 10}' > norm_error_512.json
+aecomm norm-error --config norm_error_512.json --out ne512
+aecomm norm-error --config norm_error_512.json --out ne512_again
+cmp ne512/norm_error.csv ne512_again/norm_error.csv
 echo '{"M": 4, "batch_sizes": [8, 16], "init_seeds": [0], "data_seeds": [100], "data_budget": 160, "tx_hidden": [8], "rx_hidden": [8], "val_batches": 1, "val_batch_size": 100}' > compare.json
 aecomm compare --config compare.json --out full --workers 1
 cp -r full cut

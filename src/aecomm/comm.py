@@ -121,6 +121,26 @@ def draw_indices(rng: np.random.Generator, M: int, size) -> np.ndarray:
     return out.reshape(shape)
 
 
+def draw_packed(rng: np.random.Generator, M: int, out: np.ndarray) -> np.ndarray:
+    """Fill out, an (n, Bs) integer array, with n batches of Bs uniform indices below M,
+    a power of 2, and return it.
+
+    An index is read from a unit of the smallest unsigned type that holds M - 1, so
+    u = 8, 4 or 2 units fill a raw 64-bit word, read little-endian. Each batch takes
+    ceil(Bs / u) whole raw words of rng's bit generator; its indices are the top
+    log2(M) bits of its first Bs units, and the rest of its last word is dropped. So
+    batches drawn in any split equal one draw of them all, and the generator's
+    buffered 32-bit half is neither read nor written.
+    """
+    unit = np.min_scalar_type(M - 1).newbyteorder("<")
+    n, bs = out.shape
+    u = 8 // unit.itemsize
+    words = -(-bs // u)
+    units = rng.bit_generator.random_raw(n * words).astype("<u8", copy=False).view(unit)
+    return np.right_shift(units.reshape(n, words * u)[:, :bs], 8 * unit.itemsize + 1 - int(M).bit_length(),
+                          out=out)
+
+
 def awgn_noise(shape: tuple[int, ...], sigma2: float, rng: np.random.Generator) -> np.ndarray:
     """White Gaussian noise with variance sigma2/2 per real component."""
     if sigma2 <= 0:

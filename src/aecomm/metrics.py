@@ -19,11 +19,15 @@ from . import comm, nn
 _Z95 = 1.959963984540054
 
 
-# Elements in the widest array of one block: norm-error draws this many batch
-# indices at a time, and the decoders (ser, validation) draw the noise of, send
-# and decode as many rows as keep the widest per-row activation within it.
-# Bounded blocks stay in cache. Held whole, 8 B each: norm-error's n_batches
-# errors per init and batch size, and the decoders' n_symbols labels.
+# Floats in the widest array of one block: norm-error draws as many whole
+# batches at a time as keep its complex gather (2 floats per index) within it,
+# each batch counted up to whole raw words of 8 indices (so at most 32 KiB of
+# raw words at M <= 256), and at least one batch; the decoders (ser,
+# validation) draw the noise of, send and decode as many rows as keep the
+# widest per-row activation within it. Bounded blocks stay in cache.
+# norm-error holds its index, gather and per-batch buffers, 24 B per index of
+# its largest block, for the whole sweep. Held whole, 8 B each: norm-error's
+# n_batches errors per init and batch size, and the decoders' n_symbols labels.
 _BLOCK = 1 << 16
 
 
@@ -42,29 +46,45 @@ def normalization_error(tx: nn.Mlp, batch_indices: np.ndarray, power: float) -> 
     """Mean distance between batch- and alphabet-scope normalized symbols: the closed
     form of _batch_errors on one batch, nan for an all-zero batch or a dead transmitter."""
     raw, _ = nn.mlp_forward(np.arange(tx.in_dim), tx)
+    idx = np.asarray(batch_indices)[None]
+    if idx.size and not 0 <= idx.min() <= idx.max() < tx.in_dim:
+        raise ValueError("batch index out of range")
+    out = np.empty(1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(_batch_errors(_alphabet_terms(raw, power), np.asarray(batch_indices)[None], power)[0])
+        _batch_errors(_alphabet_terms(raw, power), idx, power, out, np.empty(idx.shape, complex), np.empty(1))
+    return float(out[0])
 
 
-def _alphabet_terms(raw: np.ndarray, power: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-row power and norm of the raw alphabet output, and its alphabet-scope scale."""
-    row_power = np.sum(raw * raw, axis=1)
-    return row_power, np.sqrt(row_power), np.sqrt(raw.shape[0] * power / row_power.sum())
+def _alphabet_terms(raw: np.ndarray, power: float) -> tuple[np.ndarray, float]:
+    """Per-row power + 1j * per-row norm of the raw alphabet output, one table that
+    one gather reads both from, and the alphabet-scope scale."""
+    table = np.empty(raw.shape[0], dtype=complex)
+    np.sum(raw * raw, axis=1, out=table.real)
+    np.sqrt(table.real, out=table.imag)
+    return table, np.sqrt(raw.shape[0] * power / table.real.sum())
 
 
-def _batch_errors(terms: tuple, indices: np.ndarray, power: float) -> np.ndarray:
-    """Normalization error of each row of batch indices, from _alphabet_terms.
+def _batch_errors(terms: tuple, indices: np.ndarray, power: float, out: np.ndarray,
+                  gathered: np.ndarray, norms: np.ndarray) -> None:
+    """Normalization error of each row of batch indices, from _alphabet_terms, into out.
 
     Both normalizations scale the same raw rows, so the error of a batch is
     |s_batch - s_alphabet| times the mean raw-row norm of the batch. A batch
-    of all-zero rows has no batch-scope scale; its error is nan.
+    of all-zero rows has no batch-scope scale; its error is nan. gathered
+    (complex, indices' shape) and norms (one per row) are scratch.
     """
-    row_power, row_norm, s_alpha = terms
-    q_batch = row_power[indices].sum(axis=1)
-    s_batch = np.sqrt(indices.shape[1] * power / q_batch)
-    return np.abs(s_batch - s_alpha) * row_norm[indices].mean(axis=1)
+    table, s_alpha = terms
+    np.take(table, indices, out=gathered, mode="clip")
+    np.divide(np.add.reduce(gathered.imag, axis=1, out=norms), indices.shape[1], out=norms)
+    np.add.reduce(gathered.real, axis=1, out=out)
+    np.divide(indices.shape[1] * power, out, out=out)
+    np.sqrt(out, out=out)
+    np.subtract(out, s_alpha, out=out)
+    np.abs(out, out=out)
+    np.multiply(out, norms, out=out)
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # zero batches: nan
 def norm_error_experiment(
     M_list: list[int],
     batch_sizes: list[int],
@@ -77,9 +97,10 @@ def norm_error_experiment(
     """Average normalization error of randomly initialized transmitters.
 
     For each (M, batch_size) cell: n_inits transmitters, n_batches uniformly
-    sampled batches each, with P = eb * log2(M). Each init's batches are drawn
-    in blocks of at most _BLOCK indices; the draws and the errors equal those
-    of one (n_batches, batch_size) draw.
+    sampled batches each, with P = eb * log2(M). The batches come from
+    comm.draw_packed, which gives each batch whole raw words, so the blocks
+    of whole batches that each init draws at a time give the values of one
+    (n_batches, batch_size) draw.
 
     Degenerate cases are excluded and counted, not averaged: an init whose
     whole alphabet output is zero (a dead-ReLU transmitter, with no scale at
@@ -90,7 +111,12 @@ def norm_error_experiment(
     if not M_list or not batch_sizes:
         raise ValueError("M_list and batch_sizes must be nonempty")
     rng = np.random.default_rng(seed)
+    # batches per block: the complex gather holds 2 floats per index, and Bs is
+    # taken up to whole words of 8 units (uint8, M <= 256)
+    rows = {bs: min(max(1, _BLOCK // (16 * -(-bs // 8))), n_batches) for bs in batch_sizes}
     errors = np.empty(n_batches)
+    cells = max(n * bs for bs, n in rows.items())
+    indices, gathered, norms = np.empty(cells, np.intp), np.empty(cells, complex), np.empty(max(rows.values()))
     stats = []
     for M in M_list:
         power = comm.power_from_eb(M, eb)
@@ -104,12 +130,12 @@ def norm_error_experiment(
             terms = _alphabet_terms(raw, power) if np.any(raw) else None
             dead += terms is None
             for j, bs in enumerate(batch_sizes):
-                rows = max(1, _BLOCK // bs)
-                for a in range(0, n_batches, rows):
-                    idx = comm.draw_indices(rng, M, (min(rows, n_batches - a), bs))
+                for a in range(0, n_batches, rows[bs]):
+                    n = min(rows[bs], n_batches - a)
+                    idx = comm.draw_packed(rng, M, indices[:n * bs].reshape(n, bs))
                     if terms is not None:
-                        with np.errstate(divide="ignore", invalid="ignore"):  # zero batches: nan
-                            errors[a:a + len(idx)] = _batch_errors(terms, idx, power)
+                        _batch_errors(terms, idx, power, errors[a:a + n],
+                                      gathered[:n * bs].reshape(n, bs), norms[:n])
                 if terms is not None:
                     valid = errors[~np.isnan(errors)]
                     kept[i, j] = len(valid)

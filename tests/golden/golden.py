@@ -1,11 +1,12 @@
 """Bit-for-bit reference of aecomm's outputs: sha256 sums of what fixed configs write.
 
 It covers the data files of criterion 8's small configs (train, norm-error, a
-1-cell compare, ser on the trained run), a ser on that run whose symbols fill
-three decode windows and part of a fourth, and, for each architecture at Bs 16
-and 256, the loss curve, constellation and parameters of a 200-step run at
-paper width (M=128, hidden [100, 100]), plus a 300-step proposed run at Bs=16,
-which spans two of train_run's draw blocks.
+1-cell compare, ser on the trained run), a norm-error at M=512 and Bs=3, whose
+batches read uint16 units and leave part of each raw word unread, a ser on the
+trained run whose symbols fill three decode windows and part of a fourth, and,
+for each architecture at Bs 16 and 256, the loss curve, constellation and
+parameters of a 200-step run at paper width (M=128, hidden [100, 100]), plus a
+300-step proposed run at Bs=16, which spans two of train_run's draw blocks.
 
 Output bits depend on the OpenBLAS kernel and on numpy's SIMD dispatch, so the
 script always runs under PINS, which need only AVX2 (it re-executes itself
@@ -41,6 +42,8 @@ COMMANDS = {
               ["run.json", "constellation.csv"]),
     "norm-error": ("norm-error", {"M_list": [4, 16], "batch_sizes": [4, 16], "n_inits": 3, "n_batches": 50,
                                   "tx_hidden": [10]}, ["norm_error.csv"]),
+    "norm-error-512": ("norm-error", {"M_list": [512], "batch_sizes": [3], "n_inits": 2, "n_batches": 50,
+                                      "tx_hidden": [10]}, ["norm_error.csv"]),
     "compare": ("compare", {"M": 4, "batch_sizes": [8], "init_seeds": [0], "data_seeds": [100],
                             "data_budget": 800, "tx_hidden": [10], "rx_hidden": [10],
                             "val_batches": 2, "val_batch_size": 50}, ["accuracy.csv"]),

@@ -64,7 +64,10 @@ def load_constellation_csv(path):
 
 def norm_errors_vectorized(raw, indices, power):
     """Normalization error of each row of batch indices, from the raw alphabet output."""
-    return metrics._batch_errors(metrics._alphabet_terms(raw, power), indices, power)
+    out = np.empty(len(indices))
+    metrics._batch_errors(metrics._alphabet_terms(raw, power), indices, power, out,
+                          np.empty(indices.shape, complex), np.empty(len(indices)))
+    return out
 
 
 def normalization_error_direct(tx, batch_indices, power):
