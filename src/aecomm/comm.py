@@ -1,5 +1,6 @@
-"""Communication-specific layers: the uniform message source, power
-normalization, batch slicing, the AWGN channel, and hard decoding.
+"""Communication-specific layers: norm-error's packed uniform message source,
+power normalization, batch slicing, the AWGN channel, and hard decoding.
+Training batches and validation and SER labels come from Generator.integers.
 
 Symbols live in R^2 (one complex value per row). Power conventions: P is the
 total symbol energy, sigma2 the total complex noise variance (split sigma2/2
@@ -9,7 +10,6 @@ per real component), and SNR = P / sigma2.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -92,35 +92,6 @@ def gather_backward(dX_batch: np.ndarray, indices: np.ndarray, n_rows: int) -> n
     return dX_all
 
 
-def draw_indices(rng: np.random.Generator, M: int, size) -> np.ndarray:
-    """rng.integers(0, M, size=size), read off PCG64's raw stream; same values, same state.
-
-    For a power-of-2 M <= 2**32, Lemire's method in integers never rejects, so
-    each value is the top log2(M) bits of one next_uint32: the low, then the
-    high half of a raw 64-bit draw. Any other case goes to integers.
-    """
-    bg = rng.bit_generator
-    shape = (size,) if np.ndim(size) == 0 else tuple(size)
-    n = math.prod(shape)
-    if (type(bg) is not np.random.PCG64 or sys.byteorder != "little"
-            or not 2 <= M <= 1 << 32 or M & (M - 1) or n == 0):
-        return rng.integers(0, M, size=size)
-    shift = 33 - int(M).bit_length()
-    state = bg.state
-    carry = state["has_uint32"]
-    halves = bg.random_raw((n - carry + 1) // 2).view(np.uint32)
-    out = np.empty(n, dtype=np.int64)
-    out[:carry] = state["uinteger"] >> shift
-    np.right_shift(halves[:n - carry], shift, out=out[carry:])
-    # integers leaves its last raw high half in uinteger, unread after an odd count
-    state = bg.state
-    state["has_uint32"] = (n - carry) % 2
-    if len(halves):
-        state["uinteger"] = int(halves[-1])
-    bg.state = state
-    return out.reshape(shape)
-
-
 def draw_packed(rng: np.random.Generator, M: int, out: np.ndarray) -> np.ndarray:
     """Fill out, an (n, Bs) integer array, with n batches of Bs uniform indices below M,
     a power of 2, and return it.
@@ -132,7 +103,7 @@ def draw_packed(rng: np.random.Generator, M: int, out: np.ndarray) -> np.ndarray
     batches drawn in any split equal one draw of them all, and the generator's
     buffered 32-bit half is neither read nor written.
     """
-    unit = np.min_scalar_type(M - 1).newbyteorder("<")
+    unit = np.dtype(f"<u{np.min_scalar_type(M - 1).itemsize}")
     n, bs = out.shape
     u = 8 // unit.itemsize
     words = -(-bs // u)

@@ -160,7 +160,7 @@ def _decode_errors(points: np.ndarray, rx: nn.Mlp, n: int, sigma2: float,
     _BLOCK // (widest layer) rows draws its noise and is decoded. The draws are those
     of one draw of all labels and then one of all noise, off the same rng."""
     block = max(1, _BLOCK // max(W.shape[1] for W in rx.weights))
-    labels = comm.draw_indices(rng, points.shape[0], n)
+    labels = rng.integers(0, points.shape[0], size=n)
     errors = 0
     for a in range(0, n, block):
         new = comm.awgn(comm.gather(points, labels[a:a + block]), sigma2, rng)

@@ -24,18 +24,6 @@ def e2e_loss_fn(architecture, tx, rx, batch, noise, power):
     return f, params.copy()
 
 
-class IntegersForbidden:
-    """A generator stand-in whose integers fails: index draws must come from the raw
-    stream (comm.draw_indices). Its normal passes through to the wrapped generator."""
-
-    def __init__(self, rng):
-        self.bit_generator = rng.bit_generator
-        self.normal = rng.normal
-
-    def integers(self, *args, **kwargs):
-        raise AssertionError("fell back to Generator.integers")
-
-
 def qpsk_points(power=1.0):
     """The four QPSK symbols at total symbol energy `power`."""
     a = np.sqrt(power / 2.0)

