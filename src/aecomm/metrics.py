@@ -108,8 +108,6 @@ def norm_error_experiment(
     still drawn, so every other cell keeps its values. A cell with nothing
     left has n == 0 and a nan mean.
     """
-    if not M_list or not batch_sizes:
-        raise ValueError("M_list and batch_sizes must be nonempty")
     rng = np.random.default_rng(seed)
     # batches per block: the complex gather holds 2 floats per index, and Bs is
     # taken up to whole words of 8 units (uint8, M <= 256)
@@ -196,8 +194,6 @@ def validation_accuracy(
 
 def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    if n < 1:
-        raise ValueError("need at least one trial")
     p = errors / n
     z2 = _Z95 * _Z95
     denom = 1.0 + z2 / n

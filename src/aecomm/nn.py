@@ -1,10 +1,10 @@
 """Minimal dense-network machinery: forward/backward passes and Adam.
 
-Everything operates on float64 numpy arrays. An MLP is a flat list of dense
-layers: a ReLU on each but the last, which is linear. The forward pass returns
-a cache for the backward pass, which writes the parameter gradients into the
-MLP's own arrays. Callers keep layer shapes consistent; only indices and labels, which
-numpy would clip or wrap, are range-checked. pack_params moves several MLPs'
+Everything operates on float64 numpy arrays. An MLP is a flat list of dense layers: a ReLU on
+each but the last, which is linear. The forward pass returns a cache for the backward pass,
+which writes the parameter gradients into the MLP's own arrays. Callers keep layer shapes
+consistent; only indices and labels, which numpy would clip or wrap, are range-checked, and a
+backward pass trusts the indices its forward pass checked. pack_params moves several MLPs'
 parameters and gradients into one contiguous vector each, which Adam updates.
 
 mlp_forward, mlp_backward and softmax_cross_entropy write their per-call
@@ -54,8 +54,6 @@ class Mlp:
 
 def glorot_init(in_dim: int, out_dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Glorot-uniform weight matrix and zero bias for one dense layer."""
-    if in_dim < 1 or out_dim < 1:
-        raise ValueError("layer dimensions must be >= 1")
     limit = np.sqrt(6.0 / (in_dim + out_dim))
     W = rng.uniform(-limit, limit, size=(in_dim, out_dim))
     b = np.zeros(out_dim)

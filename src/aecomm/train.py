@@ -95,11 +95,6 @@ def init_model(config: TrainConfig) -> tuple[nn.Mlp, nn.Mlp]:
     return tx, rx
 
 
-def sample_batch(M: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform i.i.d. message indices, with replacement."""
-    return rng.integers(0, M, size=batch_size)
-
-
 def constellation(tx: nn.Mlp, power: float) -> np.ndarray:
     """The constellation a run deploys: tx's output for each message, normalized to `power`."""
     return comm.normalize_average(nn.mlp_forward(np.arange(tx.in_dim), tx)[0], power)[0]
@@ -182,7 +177,7 @@ def train_run(config: TrainConfig) -> RunResult:
         per_draw = max(1, _DRAW // config.batch_size)
         for first in range(0, config.n_steps, per_draw):
             k = min(per_draw, config.n_steps - first)
-            batches = sample_batch(config.M, k * config.batch_size, data_rng).reshape(k, -1)
+            batches = data_rng.integers(0, config.M, size=(k, config.batch_size))
             yield from zip(batches, comm.awgn_noise((k, config.batch_size, 2), config.sigma2, noise_rng))
 
     loss_curve: list[float] = []

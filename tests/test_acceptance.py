@@ -82,7 +82,7 @@ def test_criterion_2_normalization_exactness():
         data_rng = np.random.default_rng(cfg.data_seed)
         noise_rng = np.random.default_rng(np.random.SeedSequence(cfg.data_seed).spawn(1)[0])
         for _ in range(cfg.n_steps):
-            batch = train.sample_batch(cfg.M, cfg.batch_size, data_rng)
+            batch = data_rng.integers(0, cfg.M, size=cfg.batch_size)
             noise = noise_rng.normal(0, np.sqrt(cfg.sigma2 / 2), size=(cfg.batch_size, 2))
             _, symbols = train.loss_and_grads(
                 tx, rx, batch, noise, cfg.power, train.SCOPES[architecture]

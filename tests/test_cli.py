@@ -80,7 +80,9 @@ class TestConfigValidation:
     def test_bad_value_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {"architecture": "magic"})
         assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        # outside inputs that reach a rejection in _check, TrainConfig or comm, and its message
+        # outside inputs that reach a rejection in _check, TrainConfig or comm, and its message;
+        # the empty lists, zero widths and zero n_symbols never reach norm_error_experiment,
+        # glorot_init or wilson_interval, which have no guard of their own
         for k, (command, payload, message) in enumerate([
             ("train", [], "config must be a JSON object"),
             ("train", 1, "config must be a JSON object"),
@@ -92,6 +94,11 @@ class TestConfigValidation:
             ("train", {"power": 0}, "power must be positive"),
             ("train", {"init_seed": -1}, "seeds must be >= 0"),
             ("train", {"tx_hidden": [0]}, "hidden layer sizes must be >= 1"),
+            ("train", {"rx_hidden": [0]}, "hidden layer sizes must be >= 1"),
+            ("norm-error", {"M_list": []}, "invalid value for 'M_list': []"),
+            ("norm-error", {"batch_sizes": []}, "invalid value for 'batch_sizes': []"),
+            ("norm-error", {"tx_hidden": [0]}, "invalid value for 'tx_hidden': [0]"),
+            ("ser", {"run_json": "run.json", "n_symbols": 0}, "invalid value for 'n_symbols': 0"),
         ]):
             cfg = write_config(tmp_path, f"c{k}.json", payload)
             out = tmp_path / f"o{k}"

@@ -101,10 +101,6 @@ class TestNormalizeAverageBackward:
 
         assert gradient_check(f, X0.ravel()) < 1e-6
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            comm.normalize_average_backward(np.zeros((2, 2)), np.ones((3, 2)), 1.0)
-
 
 class TestGather:
     def test_identity(self):
@@ -156,10 +152,6 @@ class TestGatherBackward:
 
         assert gradient_check(f, X0.ravel()) < 1e-6
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            comm.gather_backward(np.zeros((1, 2)), np.array([4]), 4)
-
 
 class TestAwgn:
     def test_near_zero_noise(self):
@@ -179,10 +171,6 @@ class TestAwgn:
     def test_sigma2_outside_positive_floats_rejected(self, snr_db):
         with pytest.raises(ValueError, match="noise variance"):
             comm.sigma2_from_snr(1.0, snr_db)
-
-    def test_invalid_sigma2(self):
-        with pytest.raises(ValueError):
-            comm.awgn(np.zeros((1, 2)), 0.0, np.random.default_rng(0))
 
 
 class TestDecode:

@@ -32,10 +32,6 @@ class TestGlorotInit:
         stderr = (limit / math.sqrt(3.0)) / 60.0  # uniform std / sqrt(3600)
         assert abs(W.mean()) < 3 * stderr
 
-    def test_zero_dim_rejected(self):
-        with pytest.raises(ValueError):
-            nn.glorot_init(0, 3, np.random.default_rng(0))
-
 
 class TestMlpForward:
     def test_identity_linear_layer(self):
