@@ -27,7 +27,7 @@ _Z95 = 1.959963984540054
 # widest per-row activation within it. Bounded blocks stay in cache.
 # norm-error holds its index, gather and per-batch buffers, 24 B per index of
 # its largest block, for the whole sweep. Held whole, 8 B each: norm-error's
-# n_batches errors per init and batch size, and the decoders' n_symbols labels.
+# n_batches errors per init and batch size, and the decoders' labels.
 _BLOCK = 1 << 16
 
 
@@ -161,13 +161,9 @@ def _decode_errors(points: np.ndarray, rx: nn.Mlp, n: int, sigma2: float,
     labels = rng.integers(0, points.shape[0], size=n)
     errors = 0
     for a in range(0, n, block):
-        new = comm.awgn(comm.gather(points, labels[a:a + block]), sigma2, rng)
-        # a partial last window is decoded as a full one, led by the tail rows of
-        # the window before it, and only its new rows count: a pass's last bits
-        # depend on its row count
-        y = np.concatenate((y[len(new):], new)) if a and len(new) < block else new
+        y = comm.awgn(comm.gather(points, labels[a:a + block]), sigma2, rng)
         logits, _ = nn.mlp_forward(y, rx, ws=ws)
-        errors += int(np.count_nonzero(comm.decode(logits)[len(y) - len(new):] != labels[a:a + block]))
+        errors += int(np.count_nonzero(comm.decode(logits) != labels[a:a + block]))
     return errors
 
 
@@ -179,17 +175,14 @@ def validation_accuracy(
     batch_size: int,
     rng: np.random.Generator,
 ) -> float:
-    """Categorical accuracy of rx on the alphabet-normalized constellation `points`.
+    """Categorical accuracy of rx on n_batches * batch_size symbols of the
+    alphabet-normalized constellation `points`, decoded as ser_sweep decodes one SNR point.
 
     The sent symbols are the deployed constellation itself, so the set has zero
     normalization error.
     """
-    ws = {}  # every batch has the same shape, so only the first pass allocates
-    errors = 0
-    for _ in range(n_batches):
-        errors += _decode_errors(points, rx, batch_size, sigma2, rng, ws)
     n = n_batches * batch_size
-    return (n - errors) / n
+    return (n - _decode_errors(points, rx, n, sigma2, rng, {})) / n
 
 
 def wilson_interval(errors: int, n: int) -> tuple[float, float]:

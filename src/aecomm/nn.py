@@ -195,10 +195,10 @@ class Adam:
 
     params is a one-item list holding that vector (see pack_params); step takes
     the matching one-item gradient list and consumes it as scratch: the caller
-    rewrites it whole before the next step. A step is a fixed sequence of whole-vector
-    ufuncs over five vectors (parameters, gradients, m, v, one scratch; 372 KB each at
-    paper scale) in the update formula's own evaluation order, so every element rounds as
-    in the per-array expression; once 1 - BETA1**t rounds to 1.0, its division is skipped.
+    rewrites it whole before the next step. A step is twelve whole-vector ufuncs over
+    five vectors (parameters, gradients, m, v, one scratch; 372 KB each at paper scale)
+    in Kingma & Ba's efficient form (end of their section 2): the bias corrections fold
+    into the step size and epsilon, an update equal to the textbook one in exact arithmetic.
     """
 
     params: list[np.ndarray]
@@ -217,8 +217,7 @@ class Adam:
         (p,), (g,) = self.params, grads
         m, v, u = self.m, self.v, self._update
         self.t += 1
-        b1t = 1.0 - BETA1 ** self.t
-        b2t = 1.0 - BETA2 ** self.t
+        root_b2t = np.sqrt(1.0 - BETA2 ** self.t)
         # v = b2*v + (1-b2)*g*g;  m = b1*m + (1-b1)*g, through g itself once v has read it
         v *= BETA2
         np.multiply(g, 1.0 - BETA2, out=u)
@@ -227,11 +226,10 @@ class Adam:
         m *= BETA1
         g *= 1.0 - BETA1
         m += g
-        # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps), with m / b1t = m once b1t is 1.0
-        np.multiply(m if b1t == 1.0 else np.divide(m, b1t, out=u), self.lr, out=u)
-        np.divide(v, b2t, out=g)
-        np.sqrt(g, out=g)
-        g += EPSILON
+        # p -= lr_t * m / (sqrt(v) + eps_t): lr_t = lr * root_b2t / (1 - b1**t), eps_t = eps * root_b2t
+        np.sqrt(v, out=g)
+        g += EPSILON * root_b2t
+        np.multiply(m, self.lr * root_b2t / (1.0 - BETA1 ** self.t), out=u)
         u /= g
         p -= u
 

@@ -341,24 +341,21 @@ class TestValidationAccuracy:
         acc = metrics.validation_accuracy(points, rx, 0.5, 3, 100, np.random.default_rng(3))
         assert 0.0 <= acc <= 1.0
 
-    def test_equals_fresh_arrays_per_batch(self):
-        # each batch draws its labels with integers, then its noise, off the one
-        # generator, as a loop that builds every array of a batch afresh would
+    def test_equals_one_full_array_decode(self):
+        # one draw of all labels, then one of all noise, off the one generator; at
+        # M=128 the 1500 labels span two 512-row windows and a partial third
         rng = np.random.default_rng(12)
-        points = alphabet_points(nn.build_mlp([16, 20, 2], rng))
-        rx = nn.build_mlp([2, 20, 16], rng)
-        acc = metrics.validation_accuracy(points, rx, 0.3, 4, 250, np.random.default_rng(4))
+        points = alphabet_points(nn.build_mlp([128, 100, 100, 2], rng))
+        rx = nn.build_mlp([2, 100, 100, 128], rng)
+        acc = metrics.validation_accuracy(points, rx, 0.01, 3, 500, np.random.default_rng(4))
         data = np.random.default_rng(4)
-        correct = 0
-        for _ in range(4):
-            labels = data.integers(0, 16, size=250)
-            y = comm.awgn(comm.gather(points, labels), 0.3, data)
-            correct += np.count_nonzero(comm.decode(nn.mlp_forward(y, rx)[0]) == labels)
-        assert acc == correct / 1000
+        labels = data.integers(0, 128, size=1500)
+        y = comm.awgn(comm.gather(points, labels), 0.01, data)
+        assert acc == np.count_nonzero(comm.decode(nn.mlp_forward(y, rx)[0]) == labels) / 1500
 
     def test_every_receiver_pass_has_one_row_count(self):
-        # validation decodes in ser's blocks: a 1000-label batch at M=128 is two
-        # 512-row passes, the second the last full window
+        # validation decodes its 3000 labels as ser decodes one SNR point: at M=128,
+        # five full 512-row windows and a partial one, so each label is decoded once
         rng = np.random.default_rng(19)
         points, _ = comm.normalize_average(rng.normal(size=(128, 2)), 1.0)
         rx = nn.build_mlp([2, 100, 100, 128], rng)
@@ -371,7 +368,7 @@ class TestValidationAccuracy:
         forward = nn.mlp_forward
         with mock.patch.object(nn, "mlp_forward", spy):
             metrics.validation_accuracy(points, rx, 0.01, 3, 1000, np.random.default_rng(20))
-        assert rows == [512] * 6
+        assert rows == [512] * 5 + [440]
 
     def test_memory_bounded_by_block(self):
         rng = np.random.default_rng(21)
@@ -430,8 +427,7 @@ class TestSerSweep:
         assert blocked == full
 
     def test_every_receiver_pass_has_one_row_count(self):
-        # a pass's last bits depend on its row count, so a partial last block
-        # is decoded as the last full window
+        # full windows, then the partial last one as it is: each label is decoded once
         rng = np.random.default_rng(17)
         points, _ = comm.normalize_average(rng.normal(size=(128, 2)), 1.0)
         rx = nn.build_mlp([2, 100, 100, 128], rng)
@@ -445,7 +441,7 @@ class TestSerSweep:
         forward = nn.mlp_forward
         with mock.patch.object(nn, "mlp_forward", spy):
             metrics.ser_sweep(points, rx, [0.0, 10.0], 3 * block + 7, np.random.default_rng(18), power=1.0)
-        assert rows == [block] * 8
+        assert rows == ([block] * 3 + [7]) * 2
 
     @pytest.mark.parametrize("decoder", ["rx", "matched-filter"])
     def test_memory_bounded_by_block(self, decoder):

@@ -280,22 +280,29 @@ class TestSoftmaxCrossEntropy:
             nn.softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
 
-def reference_adam(params, grad_steps, lr, beta1, beta2, epsilon, t0=0):
+def reference_adam(params, grad_steps, lr, beta1, beta2, epsilon, t0=0, textbook=False):
     """Adam over a list of arrays, one array at a time (the per-array formula).
 
-    The moments start at zero and the first step is step t0 + 1.
+    By default in Kingma & Ba's efficient form, with the bias corrections folded
+    into the step size and epsilon; textbook=True divides the moments by them
+    instead. The moments start at zero and the first step is step t0 + 1.
     """
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     for t, grads in enumerate(grad_steps, start=t0 + 1):
         b1t = 1.0 - beta1**t
         b2t = 1.0 - beta2**t
+        lr_t = lr * np.sqrt(b2t) / b1t
+        eps_t = epsilon * np.sqrt(b2t)
         for p, g, mi, vi in zip(params, grads, m, v):
             mi *= beta1
             mi += (1.0 - beta1) * g
             vi *= beta2
             vi += (1.0 - beta2) * g * g
-            p -= lr * (mi / b1t) / (np.sqrt(vi / b2t) + epsilon)
+            if textbook:
+                p -= lr * (mi / b1t) / (np.sqrt(vi / b2t) + epsilon)
+            else:
+                p -= lr_t * mi / (np.sqrt(vi) + eps_t)
 
 
 class TestPackParams:
@@ -352,8 +359,26 @@ class TestAdam:
         with pytest.raises(ValueError):
             opt.step([np.zeros(3), np.zeros(3)])
 
-    @settings(max_examples=60, deadline=None)
-    @given(
+    @staticmethod
+    def flat_and_reference(shapes, n_steps, lr, t0, seed, textbook):
+        """The flat step's parameters and reference_adam's, after the same random steps."""
+        rng = np.random.default_rng(seed)
+        ref = [rng.normal(size=s) for s in shapes]
+        flat = np.concatenate([p.ravel() for p in ref])
+        grad_steps = [
+            [rng.normal(size=s) * 10.0 ** rng.uniform(-6, 3) for s in shapes] for _ in range(n_steps)
+        ]
+        reference_adam(ref, grad_steps, lr, 0.9, 0.999, 1e-8, t0=t0, textbook=textbook)
+
+        opt = nn.Adam([flat], lr=lr)
+        opt.t = t0
+        g_flat = np.empty_like(flat)  # one reused vector, rewritten whole before each step
+        for grads in grad_steps:
+            np.concatenate([g.ravel() for g in grads], out=g_flat)
+            opt.step([g_flat])
+        return flat, np.concatenate([p.ravel() for p in ref])
+
+    adam_inputs = given(
         shapes=st.lists(
             st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple), min_size=1, max_size=4
         ),
@@ -362,26 +387,24 @@ class TestAdam:
         t0=st.sampled_from([0, 350]),
         seed=st.integers(0, 2**32 - 1),
     )
-    # at beta1 = 0.9, 1 - beta1**t first rounds to 1.0 at t = 356, where the
-    # flat step stops dividing by it; these steps t = 351..358 cross that point
+
+    @settings(max_examples=60, deadline=None)
+    @adam_inputs
+    # at beta1 = 0.9, 1 - beta1**t first rounds to 1.0 at t = 356; these steps
+    # t = 351..358 cross that point
     @example(shapes=[(5, 3), (3,), (7,)], n_steps=8, lr=0.008, t0=350, seed=0)
     @example(shapes=[(4,), (2, 6)], n_steps=8, lr=0.3, t0=350, seed=1)
     def test_flat_step_matches_per_array_formula(self, shapes, n_steps, lr, t0, seed):
-        rng = np.random.default_rng(seed)
-        ref = [rng.normal(size=s) for s in shapes]
-        flat = np.concatenate([p.ravel() for p in ref])
-        grad_steps = [
-            [rng.normal(size=s) * 10.0 ** rng.uniform(-6, 3) for s in shapes] for _ in range(n_steps)
-        ]
-        reference_adam(ref, grad_steps, lr, 0.9, 0.999, 1e-8, t0=t0)
+        flat, ref = self.flat_and_reference(shapes, n_steps, lr, t0, seed, textbook=False)
+        assert np.array_equal(flat, ref)
 
-        opt = nn.Adam([flat], lr=lr)
-        opt.t = t0
-        g_flat = np.empty_like(flat)  # one reused vector, rewritten whole before each step
-        for grads in grad_steps:
-            np.concatenate([g.ravel() for g in grads], out=g_flat)
-            opt.step([g_flat])
-        assert np.array_equal(flat, np.concatenate([p.ravel() for p in ref]))
+    @settings(max_examples=60, deadline=None)
+    @adam_inputs
+    def test_flat_step_matches_textbook_formula(self, shapes, n_steps, lr, t0, seed):
+        # the efficient form is the textbook update m_hat / (sqrt(v_hat) + eps) in exact
+        # arithmetic, so the two part only by rounding
+        flat, ref = self.flat_and_reference(shapes, n_steps, lr, t0, seed, textbook=True)
+        np.testing.assert_allclose(flat, ref, rtol=1e-13, atol=1e-14)
 
 
 class TestGradientCheck:
