@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs the `aecomm` console script found on PATH, in the current directory,
-# which should be empty: a train, a ser on it (exit 0), a ser on an indent=2
+# which should be empty: a train, a baseline train run twice (the same
+# run.json bytes), a ser on the first train (exit 0), a ser on an indent=2
 # copy of the run (exit 0, the same ser.csv bytes: ser compares JSON values,
 # not text), a train with the removed noise-seed key (exit 2, no directory),
 # a diverged run whose validation_accuracy is null, a ser on it (exit 1, no
@@ -20,6 +21,10 @@ echo '{"M": 2, "batch_size": 1, "data_budget": 3, "lr": 1e100, "tx_hidden": [4],
 echo '{"run_json": "run/run.json", "n_symbols": 1000}' > ser.json
 echo '{"run_json": "diverged/run.json", "n_symbols": 1000}' > ser_diverged.json
 aecomm train --config train.json --out run
+echo '{"M": 4, "batch_size": 8, "data_budget": 800, "architecture": "baseline", "tx_hidden": [8], "rx_hidden": [8], "val_batches": 1, "val_batch_size": 100}' > baseline.json
+aecomm train --config baseline.json --out baseline
+aecomm train --config baseline.json --out baseline_again
+cmp baseline/run.json baseline_again/run.json
 aecomm ser --config ser.json --out ser
 test -s ser/ser.csv
 python -c "import json; json.dump(json.load(open('run/run.json')), open('indented.json', 'w'), indent=2)"

@@ -72,19 +72,28 @@ def normalize_average_backward(dXp: np.ndarray, X: np.ndarray, s: float) -> np.n
     return s * (dXp - X * (inner / q))
 
 
-def gather(X_all: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Select rows of X_all; duplicates allowed (sampling with replacement)."""
-    indices = np.asarray(indices)
-    if indices.size and (indices.min() < 0 or indices.max() >= X_all.shape[0]):
-        raise ValueError("gather index out of range")
-    return X_all[indices]
+def gather(X_all: np.ndarray, indices: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows X_all[indices], duplicates allowed, into out if given. Indices must be integers in range."""
+    if indices.dtype.kind not in "iu":
+        raise ValueError(f"gather indices have dtype {indices.dtype}, expected integers")
+    if indices.size and (np.minimum.reduce(indices) < 0 or np.maximum.reduce(indices) >= len(X_all)):
+        raise ValueError(f"gather index out of range [0, {len(X_all)})")
+    return np.take(X_all, indices, axis=0, out=out, mode="clip")  # in range: checked above
 
 
-def gather_backward(dX_batch: np.ndarray, indices: np.ndarray, n_rows: int) -> np.ndarray:
-    """Scatter-add of batch gradients back to the full-alphabet rows; indices as gather checked them."""
-    dX_all = np.zeros((n_rows, dX_batch.shape[1]))
-    np.add.at(dX_all, indices, dX_batch)
-    return dX_all
+def gather_backward(dX_batch: np.ndarray, indices: np.ndarray, n_rows: int, out=None, flat=None) -> np.ndarray:
+    """Scatter-add of batch gradients onto n_rows zero rows in row order, into out (C-contiguous) if
+    given; indices as gather checked them. flat, intp and shaped like dX_batch, takes the flat index."""
+    out = np.empty((n_rows, dX_batch.shape[1])) if out is None else out
+    if indices.size == n_rows and (indices[1:] > indices[:-1]).all():  # 0..n_rows-1
+        return np.add(dX_batch, 0.0, out=out)  # 0.0 + d, as the scatter onto zeros gives
+    flat = np.empty(dX_batch.shape, np.intp) if flat is None else flat
+    np.copyto(flat, indices[:, None])  # in intp, so a narrow index dtype cannot wrap
+    flat *= out.shape[1]
+    flat += np.arange(out.shape[1])
+    out.fill(0.0)
+    np.add.at(out.reshape(-1), flat.reshape(-1), dX_batch.reshape(-1))
+    return out
 
 
 def draw_packed(rng: np.random.Generator, M: int, out: np.ndarray) -> np.ndarray:

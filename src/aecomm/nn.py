@@ -3,17 +3,21 @@
 Everything operates on float64 numpy arrays. An MLP is a flat list of dense layers: a ReLU on
 each but the last, which is linear. The forward pass returns a cache for the backward pass,
 which writes the parameter gradients into the MLP's own arrays. Callers keep layer shapes
-consistent; only indices and labels, which numpy would clip or wrap, are range-checked, and a
-backward pass trusts the indices its forward pass checked. pack_params moves several MLPs'
-parameters and gradients into one contiguous vector each, which Adam updates.
+consistent; only indices and labels, which numpy would clip or wrap, are range-checked: an
+index input's dtype and range by comm.gather, its row lookup, and a backward pass, whose
+scatter-add is comm.gather_backward, trusts the indices its forward pass checked. pack_params
+moves several MLPs' parameters and gradients into one contiguous vector each, which Adam updates.
 
 mlp_forward, mlp_backward and softmax_cross_entropy write their per-call
-arrays into a workspace: a plain dict, passed as `ws`, that keeps one entry
-per pass and row count, so repeated calls allocate nothing. A layer keeps only
-arrays read again: its ReLU overwrites its pre-activation, and its dZ the
-upstream gradient. A workspace serves one network. Its arrays are overwritten
-by the next call of the same pass on the same row count, so results taken
-from one are valid until then. Without a workspace a call returns fresh arrays.
+arrays into a workspace: a plain dict, passed as `ws`, so repeated calls
+allocate nothing. The forward pass keeps one set of arrays, sized to its
+longest call so far, and serves a call of fewer rows from their leading rows;
+the backward pass and the cross-entropy keep one entry per row count. A layer
+keeps only arrays read again: its ReLU overwrites its pre-activation, and its
+dZ the upstream gradient. A workspace serves one network. Its arrays are
+overwritten by the next forward call, or the next call of the same other pass
+on the same row count, so results taken from one are valid until then.
+Without a workspace a call returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+from . import comm
 
 
 @dataclass
@@ -81,24 +87,23 @@ def mlp_forward(X: np.ndarray, mlp: Mlp, *, ws: dict | None = None) -> tuple[np.
 
     X is an (N, in_dim) float array, or a 1-D integer array of N message
     indices standing for the one-hot rows of those indices. For an index
-    input the first layer is the row lookup W0[X] + b0, which equals the
-    one-hot matmul whenever W0 is finite.
+    input the first layer is the row lookup comm.gather(W0, X) + b0, which
+    equals the one-hot matmul whenever W0 is finite.
 
     The cache's arrays live in the workspace `ws`. A hidden layer's output is
     its ReLU, written over its pre-activation: max(z, 0) > 0 exactly when z > 0.
     """
-    if X.ndim == 1:
-        if X.dtype.kind not in "iu":
-            raise ValueError(f"index input has dtype {X.dtype}, expected integers")
-        if X.size and (np.minimum.reduce(X) < 0 or np.maximum.reduce(X) >= mlp.in_dim):
-            raise ValueError(f"index input out of range [0, {mlp.in_dim})")
-    bufs = _buffers(ws, ("forward", len(X)), lambda: [np.empty((len(X), W.shape[1])) for W in mlp.weights])
+    ws = {} if ws is None else ws
+    n, bufs = len(X), ws.get("forward")
+    if bufs is None or len(bufs[0]) < n:  # one set, grown to the longest call
+        bufs = ws["forward"] = [np.empty((n, W.shape[1])) for W in mlp.weights]
     last = len(mlp.weights) - 1
     cache = []
     A = X
     for k, (W, b, Z) in enumerate(zip(mlp.weights, mlp.biases, bufs, strict=True)):
+        Z = Z[:n]
         if A.ndim == 1:
-            np.take(W, A, axis=0, out=Z, mode="clip")  # in range: checked above
+            comm.gather(W, A, out=Z)
         else:
             np.matmul(A, W, out=Z)
         Z += b
@@ -132,32 +137,13 @@ def mlp_backward(
             # ReLU subgradient at 0 taken as 0
             np.multiply(dZ, np.greater(Z, 0.0, out=mask), out=dZ)
         if A_in.ndim == 1:
-            _one_hot_grad(grads[2 * k], A_in, dZ, dA_out)
+            comm.gather_backward(dZ, A_in, len(grads[2 * k]), out=grads[2 * k], flat=dA_out)
             dA = None
         else:
             np.matmul(A_in.T, dZ, out=grads[2 * k])
             dA = np.matmul(dZ, mlp.weights[k].T, out=dA_out)
         np.add.reduce(dZ, axis=0, out=grads[2 * k + 1])
     return dA, grads
-
-
-def _one_hot_grad(out: np.ndarray, idx: np.ndarray, dZ: np.ndarray, flat: np.ndarray) -> None:
-    """out = onehot(idx).T @ dZ: row idx[r] of out receives dZ[r].
-
-    Repeated indices are summed in row order. OpenBLAS accumulates the matmul
-    in the same order up to a few hundred rows (bit-equal at M=128 for 256
-    rows); past its blocking size the two can differ in the last bit. flat,
-    shaped like dZ, takes the flat scatter index.
-    """
-    if idx.size == out.shape[0] and (idx[1:] > idx[:-1]).all():  # 0..M-1, the whole alphabet
-        out[...] = dZ
-    else:
-        out.fill(0.0)
-        n_cols = out.shape[1]
-        np.copyto(flat, idx[:, None])  # in intp, so a narrow index dtype cannot wrap
-        flat *= n_cols
-        flat += np.arange(n_cols)
-        np.add.at(out.reshape(-1), flat.reshape(-1), dZ.reshape(-1))
 
 
 def softmax_cross_entropy(

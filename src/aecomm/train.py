@@ -27,8 +27,6 @@ ARCHITECTURES = ("baseline", "proposed")
 # Symbols per draw: train_run draws the batches and the noise of _DRAW // batch_size
 # steps at a time (at least one step), so its draws do not grow with data_budget
 _DRAW = 4096
-# the normalization scope each architecture trains with (see loss_and_grads)
-SCOPES = {"baseline": "batch", "proposed": "alphabet"}
 
 
 @dataclass
@@ -106,30 +104,31 @@ def loss_and_grads(
     batch: np.ndarray,
     noise: np.ndarray,
     power: float,
-    scope: str,
+    architecture: str,
     *,
     ws: dict | None = None,
 ) -> tuple[float, np.ndarray]:
     """Loss of one batch; the gradients land in tx.grads and rx.grads.
 
-    scope "batch" (baseline) normalizes the batch's transmitter outputs and
-    returns those sent symbols. Scope "alphabet" (proposed) normalizes all M
-    outputs, gathers the batch rows, and returns the whole constellation.
+    "baseline" normalizes the batch's transmitter outputs and returns those
+    sent symbols. "proposed" normalizes all M outputs, gathers the batch rows,
+    and returns the whole constellation.
     The arrays live in the workspace `ws`: per batch size, the alphabet's
     indices, the received symbols and one sub-workspace per network (see nn).
     """
-    if scope not in SCOPES.values():
-        raise ValueError(f"scope must be one of {tuple(SCOPES.values())}")
+    if architecture not in ARCHITECTURES:
+        raise ValueError(f"architecture must be one of {ARCHITECTURES}")
     alphabet, received, tx_ws, rx_ws = nn._buffers(
         ws, len(batch), lambda: (np.arange(tx.in_dim), np.empty((len(batch), 2)), {}, {}))
-    raw, tx_cache = nn.mlp_forward(batch if scope == "batch" else alphabet, tx, ws=tx_ws)
+    baseline = architecture == "baseline"
+    raw, tx_cache = nn.mlp_forward(batch if baseline else alphabet, tx, ws=tx_ws)
     symbols, s = comm.normalize_average(raw, power)
-    sent = symbols if scope == "batch" else comm.gather(symbols, batch)
+    sent = symbols if baseline else comm.gather(symbols, batch)
     logits, rx_cache = nn.mlp_forward(np.add(sent, noise, out=received), rx, ws=rx_ws)
     loss, dlogits = nn.softmax_cross_entropy(logits, batch, ws=ws)
 
     dsent, _ = nn.mlp_backward(dlogits, rx_cache, rx, ws=rx_ws)
-    dsymbols = dsent if scope == "batch" else comm.gather_backward(dsent, batch, len(symbols))
+    dsymbols = dsent if baseline else comm.gather_backward(dsent, batch, len(symbols))
     draw = comm.normalize_average_backward(dsymbols, raw, s)
     nn.mlp_backward(draw, tx_cache, tx, ws=tx_ws)
     return loss, symbols
@@ -151,7 +150,7 @@ def train_step(
     grads is the flat gradient vector that tx and rx write into (nn.pack_params).
     ws is the workspace that loss_and_grads writes its per-step arrays into.
     """
-    loss, _ = loss_and_grads(tx, rx, batch, noise, config.power, SCOPES[config.architecture], ws=ws)
+    loss, _ = loss_and_grads(tx, rx, batch, noise, config.power, config.architecture, ws=ws)
     optimizer.step([grads])
     return loss
 

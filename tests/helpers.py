@@ -14,11 +14,10 @@ def e2e_loss_fn(architecture, tx, rx, batch, noise, power):
     central differences are valid.
     """
     params, grads = nn.pack_params(tx, rx)
-    scope = train.SCOPES[architecture]
 
     def f(vec):
         params[:] = vec
-        loss, _ = train.loss_and_grads(tx, rx, batch, noise, power, scope)
+        loss, _ = train.loss_and_grads(tx, rx, batch, noise, power, architecture)
         return loss, grads.copy()
 
     return f, params.copy()

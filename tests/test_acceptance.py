@@ -84,9 +84,7 @@ def test_criterion_2_normalization_exactness():
         for _ in range(cfg.n_steps):
             batch = data_rng.integers(0, cfg.M, size=cfg.batch_size)
             noise = noise_rng.normal(0, np.sqrt(cfg.sigma2 / 2), size=(cfg.batch_size, 2))
-            _, symbols = train.loss_and_grads(
-                tx, rx, batch, noise, cfg.power, train.SCOPES[architecture]
-            )
+            _, symbols = train.loss_and_grads(tx, rx, batch, noise, cfg.power, architecture)
             # proposed returns the alphabet constellation, baseline the batch symbols
             mean_power = float(np.mean(np.sum(symbols * symbols, axis=1)))
             assert abs(mean_power - cfg.power) <= 1e-9 * cfg.power
@@ -209,8 +207,8 @@ def test_criterion_6_scope_equivalence():
         rx = nn.build_mlp([2, 25, M], rng)
         batch = np.arange(M)
         noise = np.random.default_rng(seed + 500).normal(scale=0.01, size=(M, 2))
-        loss_b, sent_b = train.loss_and_grads(tx, rx, batch, noise, 1.0, "batch")
-        loss_p, points_p = train.loss_and_grads(tx, rx, batch, noise, 1.0, "alphabet")
+        loss_b, sent_b = train.loss_and_grads(tx, rx, batch, noise, 1.0, "baseline")
+        loss_p, points_p = train.loss_and_grads(tx, rx, batch, noise, 1.0, "proposed")
         assert loss_b == loss_p
         assert np.array_equal(sent_b, points_p)
     report(6)

@@ -123,8 +123,61 @@ class TestGather:
         with pytest.raises(ValueError):
             comm.gather(random_matrix(0), np.array([6]))
 
+    def test_float_indices_rejected(self):
+        with pytest.raises(ValueError, match="dtype"):
+            comm.gather(random_matrix(0), np.array([0.0, 1.0]))
+
+    def test_fills_out(self):
+        X = random_matrix(15, rows=10)
+        idx = np.array([3, 0, 3, 9], np.uint8)
+        out = np.full((4, 2), np.nan)
+        assert comm.gather(X, idx, out=out) is out
+        assert np.array_equal(out, X[[3, 0, 3, 9]])
+
 
 class TestGatherBackward:
+    # at most 200 rows, so every index fits uint8; at 100 columns the flat index
+    # idx * 100 + col would wrap in uint8 or int16
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_rows=st.integers(1, 200),
+        n_batch=st.integers(0, 64),
+        cols=st.sampled_from([1, 2, 100]),
+        dtype=st.sampled_from([np.uint8, np.int16, np.uint64, np.int64]),
+        whole=st.booleans(),
+        prefill=st.sampled_from([None, "nan", "garbage"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_row_order_loop_bit_for_bit(self, n_rows, n_batch, cols, dtype, whole, prefill, seed):
+        rng = np.random.default_rng(seed)
+        idx = (np.arange(n_rows) if whole else rng.integers(0, n_rows, size=n_batch)).astype(dtype)
+        d = rng.normal(size=(len(idx), cols))
+        d[rng.random(d.shape) < 0.3] = -0.0
+        expected = np.zeros((n_rows, cols))
+        for r, j in enumerate(idx):  # repeated indices summed in row order, onto +0.0
+            expected[j] += d[r]
+        out = flat = None
+        if prefill == "nan":
+            out, flat = np.full(expected.shape, np.nan), np.full(d.shape, -1, np.intp)
+        elif prefill == "garbage":
+            out = np.frombuffer(rng.bytes(8 * expected.size), np.float64).reshape(expected.shape).copy()
+            flat = rng.integers(np.iinfo(np.intp).min, np.iinfo(np.intp).max, size=d.shape, dtype=np.intp)
+        got = comm.gather_backward(d, idx, n_rows, out=out, flat=flat)
+        assert out is None or got is out
+        assert got.tobytes() == expected.tobytes()  # tells -0.0 from +0.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_rows=st.integers(1, 50), n_batch=st.integers(1, 64), cols=st.integers(1, 5),
+           whole=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_of_gather(self, n_rows, n_batch, cols, whole, seed):
+        # <gather(X, i), D> = <X, gather_backward(D, i, n)>
+        rng = np.random.default_rng(seed)
+        idx = np.arange(n_rows) if whole else rng.integers(0, n_rows, size=n_batch)
+        X, D = rng.normal(size=(n_rows, cols)), rng.normal(size=(len(idx), cols))
+        lhs = float(np.vdot(comm.gather(X, idx), D))
+        rhs = float(np.vdot(X, comm.gather_backward(D, idx, n_rows)))
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
     def test_permutation(self):
         d = random_matrix(11)
         assert np.array_equal(comm.gather_backward(d, np.arange(6), 6), d)

@@ -443,6 +443,17 @@ class TestSerSweep:
             metrics.ser_sweep(points, rx, [0.0, 10.0], 3 * block + 7, np.random.default_rng(18), power=1.0)
         assert rows == ([block] * 3 + [7]) * 2
 
+    def test_partial_window_reuses_the_forward_set(self):
+        # the last window's 7 rows are the leading rows of the full windows' arrays,
+        # so the workspace holds one forward set, of `block` rows
+        rng = np.random.default_rng(19)
+        points, _ = comm.normalize_average(rng.normal(size=(128, 2)), 1.0)
+        rx = nn.build_mlp([2, 100, 100, 128], rng)
+        block = metrics._BLOCK // 128
+        ws = {}
+        metrics._decode_errors(points, rx, 2 * block + 7, 1.0, np.random.default_rng(20), ws)
+        assert [Z.shape for bufs in ws.values() for Z in bufs] == [(block, 100), (block, 100), (block, 128)]
+
     @pytest.mark.parametrize("decoder", ["rx", "matched-filter"])
     def test_memory_bounded_by_block(self, decoder):
         rng = np.random.default_rng(15)

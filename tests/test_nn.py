@@ -237,6 +237,24 @@ class TestMlpBackward:
                 assert not grads[0][np.ix_(idx, dZ_cols)].any()
 
 
+    def test_one_forward_set_serves_every_row_count(self):
+        # the forward's one array set grows to its longest call and serves a shorter
+        # one from its leading rows; every call equals one without a workspace
+        rng = np.random.default_rng(60)
+        mlp = nn.build_mlp([6, 5, 4, 3], rng)
+        ws = {}
+        for n, index_input in ((5, True), (2, False), (7, True), (3, True), (1, False), (7, False)):
+            X = rng.integers(0, 6, size=n) if index_input else rng.normal(size=(n, 6))
+            dY = rng.normal(size=(n, 3))
+            Y, cache = nn.mlp_forward(X, mlp, ws=ws)
+            dX, grads = nn.mlp_backward(dY, cache, mlp, ws=ws)
+            got = [Y.copy(), None if dX is None else dX.copy(), *(g.copy() for g in grads)]
+            Y, cache = nn.mlp_forward(X, mlp)
+            dX, grads = nn.mlp_backward(dY, cache, mlp)
+            assert all(a is b is None or np.array_equal(a, b) for a, b in zip(got, [Y, dX, *grads], strict=True))
+        assert [Z.shape for Z in ws["forward"]] == [(7, 5), (7, 4), (7, 3)]
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
         logits = np.zeros((3, 128))

@@ -84,8 +84,8 @@ class TestScopeEquivalence:
         rx = nn.build_mlp([2, 12, 8], rng)
         batch = np.arange(8)
         noise = np.random.default_rng(seed + 50).normal(scale=0.01, size=(8, 2))
-        loss_b, sent_b = train.loss_and_grads(tx, rx, batch, noise, 1.0, "batch")
-        loss_p, points_p = train.loss_and_grads(tx, rx, batch, noise, 1.0, "alphabet")
+        loss_b, sent_b = train.loss_and_grads(tx, rx, batch, noise, 1.0, "baseline")
+        loss_p, points_p = train.loss_and_grads(tx, rx, batch, noise, 1.0, "proposed")
         assert loss_b == loss_p
         assert np.array_equal(sent_b, comm.gather(points_p, batch))
 
@@ -123,7 +123,7 @@ class TestTrainingBehaviour:
             for _ in range(cfg.n_steps):
                 batch = data_rng.integers(0, cfg.M, size=cfg.batch_size)
                 noise = noise_rng.normal(0, np.sqrt(cfg.sigma2 / 2), size=(cfg.batch_size, 2))
-                _, symbols = train.loss_and_grads(tx, rx, batch, noise, cfg.power, train.SCOPES[arch])
+                _, symbols = train.loss_and_grads(tx, rx, batch, noise, cfg.power, arch)
                 mean_power = np.mean(np.sum(symbols * symbols, axis=1))
                 assert mean_power == pytest.approx(cfg.power, rel=1e-9)
                 opt.step([grads])
@@ -138,7 +138,7 @@ class TestTrainingBehaviour:
         for _ in range(20):
             batch = rng.integers(0, cfg.M, size=cfg.batch_size)
             noise = np.zeros((cfg.batch_size, 2))
-            _, sent = train.loss_and_grads(tx, rx, batch, noise, cfg.power, "batch")
+            _, sent = train.loss_and_grads(tx, rx, batch, noise, cfg.power, "baseline")
             raw, _ = nn.mlp_forward(np.eye(cfg.M), tx)
             # alphabet power implied by the batch scale factor
             _, s = comm.normalize_average(comm.gather(raw, batch), cfg.power)
@@ -146,7 +146,7 @@ class TestTrainingBehaviour:
             if abs(alphabet_power - cfg.power) > 1e-6:
                 violated_alphabet += 1
 
-            _, points = train.loss_and_grads(tx, rx, batch, noise, cfg.power, "alphabet")
+            _, points = train.loss_and_grads(tx, rx, batch, noise, cfg.power, "proposed")
             batch_power = np.mean(np.sum(comm.gather(points, batch) ** 2, axis=1))
             if abs(batch_power - cfg.power) > 1e-6:
                 violated_batch += 1
@@ -309,8 +309,9 @@ class TestTrainRun:
             f"{architecture} run at Bs=8, init_seed=25, data_seed=2, step 0:"
             " all-zero input cannot satisfy an average power constraint")
 
-    @pytest.mark.parametrize("scope", ["bogus", "baseline"])
+    @pytest.mark.parametrize("scope", ["bogus", "batch"])
     def test_unknown_scope_rejected(self, scope):
+        # loss_and_grads takes the architecture; a former scope name is none
         rng = np.random.default_rng(0)
         tx = nn.build_mlp([4, 3, 2], rng)
         rx = nn.build_mlp([2, 3, 4], rng)
@@ -400,14 +401,14 @@ class TestWorkspace:
         params, grads = nn.pack_params(tx, rx)
         ws = {}
         for n in (8, 3, 8, 12, 3, 1):
-            for scope in train.SCOPES.values():
+            for architecture in train.ARCHITECTURES:
                 batch = rng.integers(0, 8, size=n)
                 noise = rng.normal(scale=0.1, size=(n, 2))
                 grads.fill(np.nan)
-                loss, symbols = train.loss_and_grads(tx, rx, batch, noise, 1.0, scope, ws=ws)
+                loss, symbols = train.loss_and_grads(tx, rx, batch, noise, 1.0, architecture, ws=ws)
                 got = grads.copy()
                 grads.fill(np.nan)
-                ref_loss, ref_symbols = train.loss_and_grads(tx, rx, batch, noise, 1.0, scope)
+                ref_loss, ref_symbols = train.loss_and_grads(tx, rx, batch, noise, 1.0, architecture)
                 assert loss == ref_loss
                 assert np.array_equal(symbols, ref_symbols)
                 assert np.array_equal(got, grads)
@@ -521,11 +522,14 @@ class TestTracerVisibility:
             "nn.mlp_backward.rx": 1, "nn.mlp_backward.tx": 1,
             "comm.normalize_average": 1, "comm.normalize_average_backward": 1,
             "nn.Adam.step": 1,
+            # the transmitter's one-hot first layer: its row lookup and scatter-add
+            "comm.gather": 1, "comm.gather_backward": 1,
         }
-        if architecture == "proposed":
-            per_step.update({"comm.gather": 1, "comm.gather_backward": 1})
+        if architecture == "proposed":  # the batch rows sliced after normalization
+            per_step.update({"comm.gather": 2, "comm.gather_backward": 2})
         for n_steps, got in zip((2, 3), runs):
-            # the run's last transmitter pass and normalization give its constellation
-            once = {"nn.mlp_forward.tx": 1, "comm.normalize_average": 1}
+            # the run's last transmitter pass (its first layer a gather) and normalization
+            # give its constellation
+            once = {"nn.mlp_forward.tx": 1, "comm.gather": 1, "comm.normalize_average": 1}
             assert got == {name: per_step.get(name, 0) * n_steps + once.get(name, 0)
                            for name in per_step.keys() | once.keys()}
