@@ -478,6 +478,13 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse turns a ValueError into a usage error (exit 2)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="aecomm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -485,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", required=True, help="output directory (created if missing)")
-        p.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0))
+        p.add_argument("--workers", type=_positive_int, default=len(os.sched_getaffinity(0))
                        if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     return parser
 
@@ -506,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # an existing file, or a path under one
             raise ConfigError(f"cannot create --out {out_dir}: {exc.strerror}") from exc
-        fn(cfg, out_dir, max(1, args.workers))
+        fn(cfg, out_dir, args.workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         # a rejected config writes nothing, so remove the directories this call made

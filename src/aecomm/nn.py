@@ -22,6 +22,9 @@ Without a workspace a call returns fresh arrays.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -174,17 +177,121 @@ def softmax_cross_entropy(
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
+# Adam's step as one C loop: _adam_numpy's arithmetic per element, in its order
+_ADAM_C = r"""
+#include <math.h>
+#include <stddef.h>
+void adam_step(double *restrict p, const double *restrict g, double *restrict m, double *restrict v,
+               ptrdiff_t n, double b1, double b2, double c1, double c2, double eps_t, double lr_t) {
+    for (ptrdiff_t i = 0; i < n; i++) {
+        v[i] = v[i] * b2 + (g[i] * c2) * g[i];
+        m[i] = m[i] * b1 + g[i] * c1;
+        p[i] -= (m[i] * lr_t) / (sqrt(v[i]) + eps_t);
+    }
+}
+"""
+# -O3: GCC 12 vectorizes the loop only there; -fno-math-errno: else sqrt stays scalar;
+# -ffp-contract=off: else a*b + c may fuse into an FMA, which rounds once, not twice
+_ADAM_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
+
+
+def _adam_scalars(lr: float, t: int) -> tuple[float, float]:
+    """(lr_t, eps_t) of step t: lr_t = lr * root_b2t / (1 - b1**t), eps_t = eps * root_b2t."""
+    root_b2t = np.sqrt(1.0 - BETA2 ** t)
+    return lr * root_b2t / (1.0 - BETA1 ** t), EPSILON * root_b2t
+
+
+def _adam_numpy(p, g, m, v, u, lr_t, eps_t) -> None:
+    """One Adam step as twelve whole-vector ufuncs, overwriting g and the scratch vector u.
+
+    The fallback where no kernel loads, and the reference the kernel must equal bit for bit.
+    """
+    # v = b2*v + (1-b2)*g*g;  m = b1*m + (1-b1)*g, through g itself once v has read it
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=u)
+    u *= g
+    v += u
+    m *= BETA1
+    g *= 1.0 - BETA1
+    m += g
+    # p -= lr_t * m / (sqrt(v) + eps_t)
+    np.sqrt(v, out=g)
+    g += eps_t
+    np.multiply(m, lr_t, out=u)
+    u /= g
+    p -= u
+
+
+def _adam_self_check(kernel) -> bool:
+    """Whether `kernel` leaves p, m and v byte-equal to _adam_numpy's over steps t = 351..358.
+
+    The gradients hold signed zeros, a subnormal and values whose squares overflow; 1 - BETA1**t
+    rounds to 1.0 from t = 356 on; the odd length also runs a vectorized loop's remainder.
+    """
+    g0 = np.r_[0.0, -0.0, 5e-324, 1e200, -1e160, 1e154,
+               np.random.default_rng(0).normal(size=31) * 10.0 ** np.arange(-15, 16)]
+    states = np.zeros((2, 3, g0.size))  # (numpy form, kernel) x (p, m, v)
+    states[:, 0] = np.linspace(-1.0, 1.0, g0.size)
+    with np.errstate(all="ignore"):
+        for t in range(351, 359):
+            lr_t, eps_t = _adam_scalars(0.01, t)
+            g = g0 * (t % 3 - 1.0)
+            (p, m, v), (q, n, w) = states
+            kernel(q.ctypes.data, g.ctypes.data, n.ctypes.data, w.ctypes.data, g.size,
+                   BETA1, BETA2, 1.0 - BETA1, 1.0 - BETA2, eps_t, lr_t)
+            _adam_numpy(p, g, m, v, np.empty_like(g), lr_t, eps_t)
+    return states[0].tobytes() == states[1].tobytes()
+
+
+@functools.cache
+def adam_kernel():
+    """Adam's C loop, compiled with the configured C compiler on the first call in a process, or None.
+
+    None where it does not compile, load, or equal _adam_numpy bit for bit; Adam then runs
+    _adam_numpy, and this says why in one line on stderr.
+    """
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "") or ["cc"]
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(f"{tmp}/adam.c", "w") as fh:
+                fh.write(_ADAM_C)
+            subprocess.run([*cc, *_ADAM_CFLAGS, "-o", f"{tmp}/adam.so", f"{tmp}/adam.c", "-lm"],
+                           capture_output=True, check=True, timeout=60)
+            kernel = ctypes.CDLL(f"{tmp}/adam.so").adam_step  # holds the library, mapped once unlinked
+        kernel.restype = None
+        kernel.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 6
+        if _adam_self_check(kernel):
+            return kernel
+        reason = "its results differ from numpy's"
+    except (OSError, subprocess.SubprocessError, AttributeError) as exc:  # AttributeError: no adam_step
+        reason = f"{cc[0]}: {exc}"
+    print(f"note: no compiled Adam kernel ({reason}); Adam runs as numpy ufuncs", file=sys.stderr)
+    return None
+
+
+def _check_vector(a: np.ndarray, shape: tuple) -> None:
+    # the kernel reads and writes raw memory: nothing numpy would convert, stride or refuse to write
+    if a.dtype != np.float64 or not a.flags.carray or a.shape != shape:
+        raise ValueError(f"Adam needs aligned, writeable, C-contiguous float64 vectors of shape {shape}")
+
 
 @dataclass
 class Adam:
     """Adam over one flat parameter vector, updated in place, with BETA1, BETA2 and EPSILON.
 
-    params is a one-item list holding that vector (see pack_params); step takes
-    the matching one-item gradient list and consumes it as scratch: the caller
-    rewrites it whole before the next step. A step is twelve whole-vector ufuncs over
-    five vectors (parameters, gradients, m, v, one scratch; 372 KB each at paper scale)
-    in Kingma & Ba's efficient form (end of their section 2): the bias corrections fold
-    into the step size and epsilon, an update equal to the textbook one in exact arithmetic.
+    params is a one-item list holding that vector (see pack_params); step takes the
+    matching one-item gradient list and may use it as scratch: the caller rewrites it
+    whole before the next step. Both are aligned, writeable, C-contiguous float64 of
+    one shape. A step is Kingma & Ba's efficient form (end of their section 2): the bias
+    corrections fold into the step size and epsilon, an update equal to the textbook
+    one in exact arithmetic. It runs as one C loop over the vector (adam_kernel), or,
+    where none loads, as _adam_numpy's twelve whole-vector ufuncs: the same bits,
+    through one scratch vector.
     """
 
     params: list[np.ndarray]
@@ -195,29 +302,24 @@ class Adam:
         if len(self.params) != 1:
             raise ValueError("Adam takes a one-item list holding the flat parameter vector")
         p = self.params[0]
+        _check_vector(p, p.shape)
         self.m, self.v, self._update = np.zeros_like(p), np.zeros_like(p), np.empty_like(p)
+        self._kernel = adam_kernel()
+        self._addresses = p.ctypes.data, self.m.ctypes.data, self.v.ctypes.data  # none is ever rebound
 
     def step(self, grads: list[np.ndarray]) -> None:
-        if len(grads) != 1 or grads[0].shape != self.params[0].shape:
-            raise ValueError("gradient does not match the parameter vector")
+        if len(grads) != 1:
+            raise ValueError("Adam.step takes a one-item list holding the flat gradient vector")
         (p,), (g,) = self.params, grads
-        m, v, u = self.m, self.v, self._update
+        _check_vector(g, p.shape)
         self.t += 1
-        root_b2t = np.sqrt(1.0 - BETA2 ** self.t)
-        # v = b2*v + (1-b2)*g*g;  m = b1*m + (1-b1)*g, through g itself once v has read it
-        v *= BETA2
-        np.multiply(g, 1.0 - BETA2, out=u)
-        u *= g
-        v += u
-        m *= BETA1
-        g *= 1.0 - BETA1
-        m += g
-        # p -= lr_t * m / (sqrt(v) + eps_t): lr_t = lr * root_b2t / (1 - b1**t), eps_t = eps * root_b2t
-        np.sqrt(v, out=g)
-        g += EPSILON * root_b2t
-        np.multiply(m, self.lr * root_b2t / (1.0 - BETA1 ** self.t), out=u)
-        u /= g
-        p -= u
+        lr_t, eps_t = _adam_scalars(self.lr, self.t)
+        if self._kernel is None:
+            _adam_numpy(p, g, self.m, self.v, self._update, lr_t, eps_t)
+        else:
+            p_at, m_at, v_at = self._addresses
+            self._kernel(p_at, g.ctypes.data, m_at, v_at, p.size,
+                         BETA1, BETA2, 1.0 - BETA1, 1.0 - BETA2, eps_t, lr_t)
 
 
 def pack_params(*mlps: Mlp) -> tuple[np.ndarray, np.ndarray]:

@@ -114,6 +114,15 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, "c.json", {})
         assert cli.main(["ser", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_is_a_usage_error(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path, "ne.json", NORM_ERROR_TINY)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["norm-error", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", workers])
+        assert exc.value.code == 2
+        assert f"argument --workers: '{workers}' is not a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "command, payload",
         [("train", {"M": 6}), ("train", {"M": 100}), ("train", {"M": 1}),

@@ -1,11 +1,16 @@
+import contextlib
 import math
+import shlex
+import shutil
+import sysconfig
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aecomm import nn
+from aecomm import nn, train
 from helpers import gradient_check, softmax
 
 
@@ -340,19 +345,49 @@ class TestPackParams:
         assert all(not p.any() for p in after)
 
 
+ADAM_FORMS = ("kernel", "numpy")
+
+
+@contextlib.contextmanager
+def adam_form(form: str):
+    """Each Adam built inside runs `form`: "numpy", the fallback, or "kernel", what adam_kernel
+    loads (the fallback where nothing loads; test_kernel_loads says whether something does)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if form == "numpy":
+            mp.setattr(nn, "adam_kernel", lambda: None)
+        yield
+
+
+def configured_cc() -> str:
+    """The program adam_kernel compiles with."""
+    return (shlex.split(sysconfig.get_config_var("CC") or "") or ["cc"])[0]
+
+
+@pytest.fixture
+def fresh_loader():
+    """An empty adam_kernel cache, emptied again afterwards so later tests build a real kernel."""
+    nn.adam_kernel.cache_clear()
+    yield
+    nn.adam_kernel.cache_clear()
+
+
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
-        p = np.array([1.0, -2.0])
-        opt = nn.Adam([p], lr=0.1)
-        opt.step([np.zeros(2)])
-        assert np.array_equal(p, [1.0, -2.0])
+        for form in ADAM_FORMS:
+            p = np.array([1.0, -2.0])
+            with adam_form(form):
+                opt = nn.Adam([p], lr=0.1)
+            opt.step([np.zeros(2)])
+            assert np.array_equal(p, [1.0, -2.0]), form
 
     def test_first_step_magnitude(self):
         # constant gradient 1 at t=1 with zero moments: update = lr / (1 + eps')
-        p = np.array([0.0])
-        opt = nn.Adam([p], lr=0.008)
-        opt.step([np.array([1.0])])
-        assert p[0] == pytest.approx(-0.008, rel=1e-6)
+        for form in ADAM_FORMS:
+            p = np.array([0.0])
+            with adam_form(form):
+                opt = nn.Adam([p], lr=0.008)
+            opt.step([np.array([1.0])])
+            assert p[0] == pytest.approx(-0.008, rel=1e-6), form
 
     def test_deterministic_trajectory(self):
         def run():
@@ -377,9 +412,22 @@ class TestAdam:
         with pytest.raises(ValueError):
             opt.step([np.zeros(3), np.zeros(3)])
 
+    @pytest.mark.parametrize("bad", [np.zeros(6, np.float32), np.zeros(12)[::2], np.zeros(6)[::-1],
+                                     np.frombuffer(bytearray(56), offset=1, count=6), np.frombuffer(bytes(48))],
+                             ids=["float32", "strided", "reversed", "misaligned", "read-only"])
+    def test_vectors_the_kernel_cannot_read_raise(self, bad):
+        for form in ADAM_FORMS:
+            with adam_form(form):
+                with pytest.raises(ValueError):
+                    nn.Adam([bad], lr=0.01)
+                opt = nn.Adam([np.zeros(6)], lr=0.01)
+            with pytest.raises(ValueError):
+                opt.step([bad])
+            assert opt.t == 0
+
     @staticmethod
-    def flat_and_reference(shapes, n_steps, lr, t0, seed, textbook):
-        """The flat step's parameters and reference_adam's, after the same random steps."""
+    def flat_and_reference(shapes, n_steps, lr, t0, seed, textbook, form="kernel"):
+        """The flat step's parameters, on Adam form `form`, and reference_adam's, after the same random steps."""
         rng = np.random.default_rng(seed)
         ref = [rng.normal(size=s) for s in shapes]
         flat = np.concatenate([p.ravel() for p in ref])
@@ -388,7 +436,8 @@ class TestAdam:
         ]
         reference_adam(ref, grad_steps, lr, 0.9, 0.999, 1e-8, t0=t0, textbook=textbook)
 
-        opt = nn.Adam([flat], lr=lr)
+        with adam_form(form):
+            opt = nn.Adam([flat], lr=lr)
         opt.t = t0
         g_flat = np.empty_like(flat)  # one reused vector, rewritten whole before each step
         for grads in grad_steps:
@@ -413,8 +462,9 @@ class TestAdam:
     @example(shapes=[(5, 3), (3,), (7,)], n_steps=8, lr=0.008, t0=350, seed=0)
     @example(shapes=[(4,), (2, 6)], n_steps=8, lr=0.3, t0=350, seed=1)
     def test_flat_step_matches_per_array_formula(self, shapes, n_steps, lr, t0, seed):
-        flat, ref = self.flat_and_reference(shapes, n_steps, lr, t0, seed, textbook=False)
-        assert np.array_equal(flat, ref)
+        for form in ADAM_FORMS:
+            flat, ref = self.flat_and_reference(shapes, n_steps, lr, t0, seed, textbook=False, form=form)
+            assert np.array_equal(flat, ref), form
 
     @settings(max_examples=60, deadline=None)
     @adam_inputs
@@ -423,6 +473,70 @@ class TestAdam:
         # arithmetic, so the two part only by rounding
         flat, ref = self.flat_and_reference(shapes, n_steps, lr, t0, seed, textbook=True)
         np.testing.assert_allclose(flat, ref, rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("t0", [0, 350])
+    def test_special_values_equal_across_forms(self, t0):
+        # 1e154's square stays finite, 1e160's overflows; inf and nan make nan updates
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e154, 1e160, -1e200, np.inf, -np.inf, np.nan, 0.5])
+        states = []
+        for form in ADAM_FORMS:
+            with adam_form(form):
+                opt = nn.Adam([np.linspace(-1.0, 1.0, special.size)], lr=0.01)
+            opt.t = t0
+            with np.errstate(all="ignore"):
+                for k in range(4):
+                    opt.step([special * (-1.0) ** k])
+            states.append([a.tobytes() for a in (*opt.params, opt.m, opt.v)])
+        assert states[0] == states[1]
+
+    @pytest.mark.parametrize("architecture", train.ARCHITECTURES)
+    def test_train_run_equal_across_forms(self, monkeypatch, architecture):
+        made = []
+
+        class Recording(nn.Adam):
+            def __post_init__(self):
+                super().__post_init__()
+                made.append(self)
+
+        monkeypatch.setattr(nn, "Adam", Recording)
+        config = train.TrainConfig(M=8, batch_size=16, data_budget=16 * 40, tx_hidden=(12,), rx_hidden=(12,),
+                                   architecture=architecture, init_seed=3, data_seed=4)
+        runs = []
+        for form in ADAM_FORMS:
+            with adam_form(form):
+                runs.append(train.train_run(config))
+        assert runs[0].loss_curve == runs[1].loss_curve
+        kernel, numpy_form = ([a.tobytes() for a in (*opt.params, opt.m, opt.v)] for opt in made)
+        assert kernel == numpy_form
+
+    def test_kernel_loads(self):
+        # the compiled loop must load wherever its compiler exists, so a host that
+        # has one cannot pass the tests above on the numpy fallback alone
+        if shutil.which(configured_cc()) is None:
+            pytest.skip(f"the configured C compiler {configured_cc()!r} is not on PATH")
+        assert nn.adam_kernel() is not None
+
+    @pytest.mark.parametrize("break_it", ["compiler", "source"])
+    def test_failed_build_falls_back_once_and_leaves_no_files(
+            self, fresh_loader, tmp_path, monkeypatch, capsys, break_it):
+        if break_it == "compiler":
+            config_var = sysconfig.get_config_var
+            monkeypatch.setattr(sysconfig, "get_config_var",
+                                lambda name: "no-such-cc" if name == "CC" else config_var(name))
+        else:  # a kernel that builds and loads, but adds eps_t under the square root
+            if shutil.which(configured_cc()) is None:
+                pytest.skip("no C compiler to build the broken kernel with")
+            monkeypatch.setattr(nn, "_ADAM_C", nn._ADAM_C.replace("sqrt(v[i]) + eps_t", "sqrt(v[i] + eps_t)"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert nn.adam_kernel() is None
+        assert nn.adam_kernel() is None  # cached: no second build, no second line
+        g = np.array([1.0, 4.0])
+        nn.Adam([np.array([0.5, -0.5])], lr=0.1).step([g])
+        assert not np.array_equal(g, [1.0, 4.0])  # the numpy form uses the gradient as scratch
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("note: no compiled Adam kernel (")
+        assert ("no-such-cc" if break_it == "compiler" else "differ") in line
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGradientCheck:
