@@ -7,6 +7,8 @@ consistent; only indices and labels, which numpy would clip or wrap, are range-c
 index input's dtype and range by comm.gather, its row lookup, and a backward pass, whose
 scatter-add is comm.gather_backward, trusts the indices its forward pass checked. pack_params
 moves several MLPs' parameters and gradients into one contiguous vector each, which Adam updates.
+compiled_kernel serves the C loops of kernels.c, Adam's step and metrics' batch errors, from one
+library that the first caller in a process compiles.
 
 mlp_forward, mlp_backward and softmax_cross_entropy write their per-call
 arrays into a workspace: a plain dict, passed as `ws`, so repeated calls
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import pathlib
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -177,22 +180,10 @@ def softmax_cross_entropy(
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
-# Adam's step as one C loop: _adam_numpy's arithmetic per element, in its order
-_ADAM_C = r"""
-#include <math.h>
-#include <stddef.h>
-void adam_step(double *restrict p, const double *restrict g, double *restrict m, double *restrict v,
-               ptrdiff_t n, double b1, double b2, double c1, double c2, double eps_t, double lr_t) {
-    for (ptrdiff_t i = 0; i < n; i++) {
-        v[i] = v[i] * b2 + (g[i] * c2) * g[i];
-        m[i] = m[i] * b1 + g[i] * c1;
-        p[i] -= (m[i] * lr_t) / (sqrt(v[i]) + eps_t);
-    }
-}
-"""
-# -O3: GCC 12 vectorizes the loop only there; -fno-math-errno: else sqrt stays scalar;
+# -O3: GCC 12 vectorizes Adam's loop only there; -fno-math-errno: else sqrt stays scalar;
 # -ffp-contract=off: else a*b + c may fuse into an FMA, which rounds once, not twice
-_ADAM_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
+_KERNELS_C = pathlib.Path(__file__).with_name("kernels.c")
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
 
 
 def _adam_scalars(lr: float, t: int) -> tuple[float, float]:
@@ -244,12 +235,10 @@ def _adam_self_check(kernel) -> bool:
 
 
 @functools.cache
-def adam_kernel():
-    """Adam's C loop, compiled with the configured C compiler on the first call in a process, or None.
-
-    None where it does not compile, load, or equal _adam_numpy bit for bit; Adam then runs
-    _adam_numpy, and this says why in one line on stderr.
-    """
+def _library() -> tuple[ctypes.CDLL | None, str]:
+    """kernels.c, beside this file, compiled with the configured C compiler on the first call in a
+    process: (the library, "") or (None, why not). It is built in a temporary directory, removed once
+    loaded."""
     import shlex
     import subprocess
     import sysconfig
@@ -258,20 +247,37 @@ def adam_kernel():
     cc = shlex.split(sysconfig.get_config_var("CC") or "") or ["cc"]
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            with open(f"{tmp}/adam.c", "w") as fh:
-                fh.write(_ADAM_C)
-            subprocess.run([*cc, *_ADAM_CFLAGS, "-o", f"{tmp}/adam.so", f"{tmp}/adam.c", "-lm"],
+            subprocess.run([*cc, *_CFLAGS, "-o", f"{tmp}/kernels.so", str(_KERNELS_C), "-lm"],
                            capture_output=True, check=True, timeout=60)
-            kernel = ctypes.CDLL(f"{tmp}/adam.so").adam_step  # holds the library, mapped once unlinked
-        kernel.restype = None
-        kernel.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 6
-        if _adam_self_check(kernel):
-            return kernel
-        reason = "its results differ from numpy's"
-    except (OSError, subprocess.SubprocessError, AttributeError) as exc:  # AttributeError: no adam_step
-        reason = f"{cc[0]}: {exc}"
-    print(f"note: no compiled Adam kernel ({reason}); Adam runs as numpy ufuncs", file=sys.stderr)
+            return ctypes.CDLL(f"{tmp}/kernels.so"), ""  # mapped, so it outlives its file
+    except (OSError, subprocess.SubprocessError) as exc:
+        return None, f"{cc[0]}: {exc}"
+
+
+def compiled_kernel(name: str, restype, argtypes: list, self_check, what: str, fallback: str):
+    """Function `name` of the compiled kernels.c, if self_check(it) holds; else None, after one
+    stderr line saying why no `what` loaded and that the program runs `fallback`."""
+    lib, reason = _library()
+    if lib is not None:
+        try:
+            kernel = getattr(lib, name)
+        except AttributeError as exc:
+            reason = str(exc)
+        else:
+            kernel.restype, kernel.argtypes = restype, argtypes
+            if self_check(kernel):
+                return kernel
+            reason = "its results differ from numpy's"
+    print(f"note: no compiled {what} ({reason}); {fallback}", file=sys.stderr)
     return None
+
+
+@functools.cache
+def adam_kernel():
+    """Adam's C loop from the compiled kernels.c, or None where it does not compile, load, or
+    equal _adam_numpy bit for bit; Adam then runs _adam_numpy, and one stderr line says why."""
+    return compiled_kernel("adam_step", None, [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 6,
+                           _adam_self_check, "Adam kernel", "Adam runs as numpy ufuncs")
 
 
 def _check_vector(a: np.ndarray, shape: tuple) -> None:

@@ -1,4 +1,6 @@
-from aecomm import cli
+import pytest
+
+from aecomm import cli, metrics, nn
 
 
 def pytest_sessionstart(session):
@@ -6,3 +8,14 @@ def pytest_sessionstart(session):
     # the start keeps every test on that thread count, not only those run
     # after the first cli.main call
     cli.pin_blas_threads()
+
+
+@pytest.fixture
+def fresh_loader():
+    """Empty kernel caches, emptied again afterwards so later tests load the real kernels."""
+    caches = (nn._library, nn.adam_kernel, metrics.batch_error_kernel)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()

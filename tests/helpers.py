@@ -1,9 +1,33 @@
 """Shared test utilities: the finite-difference gradient checker, flat-vector
 loss wrappers for it, and reference helpers that only the tests use."""
 
+import contextlib
+import shlex
+import sysconfig
+
 import numpy as np
+import pytest
 
 from aecomm import comm, metrics, nn, train
+
+KERNEL_FORMS = ("kernel", "numpy")
+
+
+@contextlib.contextmanager
+def kernel_form(form: str):
+    """Each compiled loop runs `form` inside: "numpy", the fallbacks, or "kernel", what
+    nn.adam_kernel and metrics.batch_error_kernel load (the fallbacks where nothing loads;
+    the test_kernel_loads tests say whether something does). An Adam keeps the form it is built in."""
+    with pytest.MonkeyPatch.context() as mp:
+        if form == "numpy":
+            mp.setattr(nn, "adam_kernel", lambda: None)
+            mp.setattr(metrics, "batch_error_kernel", lambda: None)
+        yield
+
+
+def configured_cc() -> str:
+    """The program nn's kernel loader compiles with."""
+    return (shlex.split(sysconfig.get_config_var("CC") or "") or ["cc"])[0]
 
 
 def e2e_loss_fn(architecture, tx, rx, batch, noise, power):
@@ -50,10 +74,10 @@ def load_constellation_csv(path):
 
 
 def norm_errors_vectorized(raw, indices, power):
-    """Normalization error of each row of batch indices, from the raw alphabet output."""
+    """Normalization error of each row of batch indices, from the raw alphabet output, in numpy."""
     out = np.empty(len(indices))
-    metrics._batch_errors(metrics._alphabet_terms(raw, power), indices, power, out,
-                          np.empty(indices.shape, complex), np.empty(len(indices)))
+    metrics._batch_errors_numpy(metrics._alphabet_terms(raw, power), indices, power, out,
+                                np.empty(indices.shape, complex), np.empty(len(indices)))
     return out
 
 

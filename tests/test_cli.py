@@ -18,7 +18,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from aecomm import cli, metrics, train
-from helpers import load_constellation_csv
+from helpers import KERNEL_FORMS, kernel_form, load_constellation_csv
 
 
 def write_config(tmp_path, name, payload):
@@ -377,6 +377,19 @@ class TestNormErrorCommand:
         err = capsys.readouterr().err
         assert "M=4 Bs=4: excluded 1 of 1 transmitters" in err
         assert "failure: no batch left to average" in err
+
+    def test_kernel_and_numpy_forms_write_the_same_bytes(self, tmp_path, capsys):
+        # seed 2's first M=4 transmitter of 30 is dead, and many batches are all zero;
+        # M=512 reads uint16 indices, and Bs=130 splits numpy's pairwise sum
+        cfg = write_config(tmp_path, "ne.json", {"M_list": [4, 512], "batch_sizes": [4, 130], "tx_hidden": [1],
+                                                 "n_batches": 10, "seed": 2})
+        outputs = []
+        for form in KERNEL_FORMS:
+            with kernel_form(form):
+                assert cli.main(["norm-error", "--config", cfg, "--out", str(tmp_path / form)]) == 0
+            outputs.append(((tmp_path / form / "norm_error.csv").read_bytes(), capsys.readouterr().err))
+        assert outputs[0] == outputs[1]
+        assert "M=4 Bs=4: excluded 1 of 30 transmitters" in outputs[0][1]
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(

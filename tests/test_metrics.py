@@ -1,3 +1,4 @@
+import shutil
 import tracemalloc
 from unittest import mock
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from aecomm import comm, metrics, nn
-from helpers import norm_errors_vectorized, normalization_error_direct, qpsk_points
+from helpers import (KERNEL_FORMS, configured_cc, kernel_form, norm_errors_vectorized, normalization_error_direct,
+                     qpsk_points)
 
 
 def tx_with_outputs(raw):
@@ -103,6 +105,18 @@ class TestNormalizationError:
         with pytest.raises(ValueError, match="out of range"):
             metrics.normalization_error(random_tx(8, seed=0), np.array(batch), 1.0)
 
+    @pytest.mark.parametrize("batch", [[True, False], [0.5, 1.0], [0.0, 1.0]])
+    def test_non_integer_indices_rejected(self, batch):
+        # booleans would score rows 1 and 0, floats would fail inside the gather
+        with pytest.raises(ValueError, match="dtype"):
+            metrics.normalization_error(random_tx(8, seed=0), np.array(batch), 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64, np.int64])
+    def test_every_integer_dtype_scores_alike(self, dtype):
+        tx = random_tx(8, seed=0)
+        batch = np.array([3, 0, 7, 7, 1])
+        assert metrics.normalization_error(tx, batch.astype(dtype), 1.0) == metrics.normalization_error(tx, batch, 1.0)
+
     def test_degenerate_cases_are_nan(self):
         # no batch-scope scale: a batch of all-zero rows, or a dead transmitter
         tx = tx_with_outputs([[0, 0], [1, 0], [0, 0], [1, 1]])
@@ -195,6 +209,109 @@ class TestDrawPacked:
         twin.bit_generator.random_raw(sum(n * -(-bs // u) for n, bs in shapes))
         np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
         np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+
+    @pytest.mark.parametrize("M", [2, 256, 512, 2**16, 2**17, 2**32])
+    def test_fills_unit_type_buffers(self, M):
+        # norm-error draws into a buffer of the unit type itself
+        unit = np.uint8 if M <= 1 << 8 else np.uint16 if M <= 1 << 16 else np.uint32
+        rng, ref = (np.random.default_rng(8) for _ in range(2))
+        for g in (rng, ref):
+            g.integers(0, 8, size=3)
+        for n, bs in [(5, 3), (1, 1), (4, 9), (2, 31)]:
+            out = np.empty((n, bs), unit)
+            assert comm.draw_packed(rng, M, out) is out
+            assert np.array_equal(out, packed_reference(ref, M, n, bs))
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+
+def random_table(rng, M):
+    """(power, norm) entries of M alphabet rows, as _alphabet_terms' table, spread over 6 decades."""
+    return (rng.random(M) + 1j * rng.random(M)) * 10.0 ** rng.integers(-3, 3, size=M)
+
+
+class TestBatchErrorForms:
+    def test_kernel_loads(self):
+        # the compiled loop must load wherever its compiler exists, so a host that
+        # has one cannot pass the tests below on the numpy fallback alone
+        if shutil.which(configured_cc()) is None:
+            pytest.skip(f"the configured C compiler {configured_cc()!r} is not on PATH")
+        assert metrics.batch_error_kernel() is not None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # uint8, uint16 and uint32 indices
+        M=st.sampled_from([2, 256, 512, 2**16, 2**17]),
+        # every branch of numpy's pairwise sum (below 8, up to 128, split above) and its recursion
+        bs=st.one_of(st.integers(1, 10), st.integers(124, 132), st.integers(250, 300), st.integers(1000, 2100)),
+        n=st.integers(1, 4),
+        s_alpha=st.floats(0.1, 10.0),
+        power=st.floats(0.1, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kernel_writes_the_numpy_bytes(self, M, bs, n, s_alpha, power, seed):
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, M)
+        # +0.0 and -0.0 (the last row all of them: nan), a subnormal, and 1e308s whose sums overflow
+        spots = rng.integers(0, M, size=5)
+        table.real[spots] = table.imag[spots] = [0.0, -0.0, 5e-324, 1e308, 1e308]
+        idx = comm.draw_packed(rng, M, np.empty((n + 1, bs), np.min_scalar_type(M - 1)))
+        planted = rng.random(idx.shape) < 0.05
+        idx[planted] = rng.choice(spots, size=planted.sum())
+        idx[n] = rng.choice(spots[:2], size=bs)
+        outs = []
+        for form in KERNEL_FORMS:
+            out = np.full(n + 1, 7.0)
+            with kernel_form(form), np.errstate(all="ignore"):
+                metrics._batch_errors((table, s_alpha), idx, power, out)
+            outs.append(out.tobytes())
+        assert outs[0] == outs[1]
+        assert np.isnan(out[n]) == (not table.real[idx[n]].any())
+
+
+    @pytest.mark.parametrize("case", ["int64", "int8", "strided", "fortran", "strided out"])
+    def test_memory_the_kernel_cannot_read_runs_numpy(self, case):
+        rng = np.random.default_rng(30)
+        table = random_table(rng, 100)
+        idx = rng.integers(0, 100, size=(3, 40)).astype(np.uint8)
+        idx = {"int64": idx.astype(np.int64), "int8": idx.astype(np.int8), "strided": idx[:, ::2],
+               "fortran": np.asfortranarray(idx)}.get(case, idx)
+        outs = []
+        for form in KERNEL_FORMS:
+            out = np.zeros((3, 2))[:, 0] if case == "strided out" else np.zeros(3)
+            with kernel_form(form):
+                metrics._batch_errors((table, 0.8), idx, 2.0, out)
+            outs.append(out.tobytes())
+        assert outs[0] == outs[1]
+
+
+class TestExpectedNormalizationError:
+    def test_hand_case(self):
+        # q = (1, 1, 2, 4): mean 2, sd sqrt(1.5); n = (1, 1, sqrt 2, 2); s_alpha = sqrt(P / 2)
+        raw = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
+        terms = metrics._alphabet_terms(raw, 2.0)
+        want = 1.0 * np.sqrt(1.5) / 2.0 * (4.0 + np.sqrt(2.0)) / 4.0 / np.sqrt(2 * np.pi * 16)
+        assert metrics.expected_normalization_error(terms, 16) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("M", [16, 256])
+    def test_equals_the_monte_carlo_mean_of_each_form(self, M):
+        # 30 000 batches of 64 from draw_packed, scored in each form, on each of 5
+        # transmitters: the mean is within 3 % (~7 standard errors) of the closed form.
+        # Indices that miss part of the alphabet, or are not uniform over it, move it further
+        rng = np.random.default_rng(M)
+        power, bs, n_batches = comm.power_from_eb(M, 1.0), 64, 30_000
+        idx = np.empty((n_batches, bs), np.min_scalar_type(M - 1))
+        for _ in range(5):
+            raw, _ = nn.mlp_forward(np.arange(M), nn.build_mlp([M, 60, 60, 2], rng))
+            terms = metrics._alphabet_terms(raw, power)
+            comm.draw_packed(rng, M, idx)
+            closed = metrics.expected_normalization_error(terms, bs)
+            for form in KERNEL_FORMS:
+                errors = np.empty(n_batches)
+                with kernel_form(form):
+                    for a in range(0, n_batches, 3000):
+                        metrics._batch_errors(terms, idx[a:a + 3000], power, errors[a:a + 3000])
+                assert errors.mean() == pytest.approx(closed, rel=0.03), form
 
 
 class TestNormErrorExperiment:

@@ -1,7 +1,7 @@
-import contextlib
+import json
 import math
-import shlex
 import shutil
+import subprocess
 import sysconfig
 import tempfile
 
@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aecomm import nn, train
-from helpers import gradient_check, softmax
+from aecomm import cli, metrics, nn, train
+from helpers import KERNEL_FORMS, configured_cc, gradient_check, kernel_form, norm_errors_vectorized, softmax
 
 
 def random_mlp(sizes, seed):
@@ -345,46 +345,20 @@ class TestPackParams:
         assert all(not p.any() for p in after)
 
 
-ADAM_FORMS = ("kernel", "numpy")
-
-
-@contextlib.contextmanager
-def adam_form(form: str):
-    """Each Adam built inside runs `form`: "numpy", the fallback, or "kernel", what adam_kernel
-    loads (the fallback where nothing loads; test_kernel_loads says whether something does)."""
-    with pytest.MonkeyPatch.context() as mp:
-        if form == "numpy":
-            mp.setattr(nn, "adam_kernel", lambda: None)
-        yield
-
-
-def configured_cc() -> str:
-    """The program adam_kernel compiles with."""
-    return (shlex.split(sysconfig.get_config_var("CC") or "") or ["cc"])[0]
-
-
-@pytest.fixture
-def fresh_loader():
-    """An empty adam_kernel cache, emptied again afterwards so later tests build a real kernel."""
-    nn.adam_kernel.cache_clear()
-    yield
-    nn.adam_kernel.cache_clear()
-
-
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
-        for form in ADAM_FORMS:
+        for form in KERNEL_FORMS:
             p = np.array([1.0, -2.0])
-            with adam_form(form):
+            with kernel_form(form):
                 opt = nn.Adam([p], lr=0.1)
             opt.step([np.zeros(2)])
             assert np.array_equal(p, [1.0, -2.0]), form
 
     def test_first_step_magnitude(self):
         # constant gradient 1 at t=1 with zero moments: update = lr / (1 + eps')
-        for form in ADAM_FORMS:
+        for form in KERNEL_FORMS:
             p = np.array([0.0])
-            with adam_form(form):
+            with kernel_form(form):
                 opt = nn.Adam([p], lr=0.008)
             opt.step([np.array([1.0])])
             assert p[0] == pytest.approx(-0.008, rel=1e-6), form
@@ -416,8 +390,8 @@ class TestAdam:
                                      np.frombuffer(bytearray(56), offset=1, count=6), np.frombuffer(bytes(48))],
                              ids=["float32", "strided", "reversed", "misaligned", "read-only"])
     def test_vectors_the_kernel_cannot_read_raise(self, bad):
-        for form in ADAM_FORMS:
-            with adam_form(form):
+        for form in KERNEL_FORMS:
+            with kernel_form(form):
                 with pytest.raises(ValueError):
                     nn.Adam([bad], lr=0.01)
                 opt = nn.Adam([np.zeros(6)], lr=0.01)
@@ -436,7 +410,7 @@ class TestAdam:
         ]
         reference_adam(ref, grad_steps, lr, 0.9, 0.999, 1e-8, t0=t0, textbook=textbook)
 
-        with adam_form(form):
+        with kernel_form(form):
             opt = nn.Adam([flat], lr=lr)
         opt.t = t0
         g_flat = np.empty_like(flat)  # one reused vector, rewritten whole before each step
@@ -462,7 +436,7 @@ class TestAdam:
     @example(shapes=[(5, 3), (3,), (7,)], n_steps=8, lr=0.008, t0=350, seed=0)
     @example(shapes=[(4,), (2, 6)], n_steps=8, lr=0.3, t0=350, seed=1)
     def test_flat_step_matches_per_array_formula(self, shapes, n_steps, lr, t0, seed):
-        for form in ADAM_FORMS:
+        for form in KERNEL_FORMS:
             flat, ref = self.flat_and_reference(shapes, n_steps, lr, t0, seed, textbook=False, form=form)
             assert np.array_equal(flat, ref), form
 
@@ -479,8 +453,8 @@ class TestAdam:
         # 1e154's square stays finite, 1e160's overflows; inf and nan make nan updates
         special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e154, 1e160, -1e200, np.inf, -np.inf, np.nan, 0.5])
         states = []
-        for form in ADAM_FORMS:
-            with adam_form(form):
+        for form in KERNEL_FORMS:
+            with kernel_form(form):
                 opt = nn.Adam([np.linspace(-1.0, 1.0, special.size)], lr=0.01)
             opt.t = t0
             with np.errstate(all="ignore"):
@@ -502,8 +476,8 @@ class TestAdam:
         config = train.TrainConfig(M=8, batch_size=16, data_budget=16 * 40, tx_hidden=(12,), rx_hidden=(12,),
                                    architecture=architecture, init_seed=3, data_seed=4)
         runs = []
-        for form in ADAM_FORMS:
-            with adam_form(form):
+        for form in KERNEL_FORMS:
+            with kernel_form(form):
                 runs.append(train.train_run(config))
         assert runs[0].loss_curve == runs[1].loss_curve
         kernel, numpy_form = ([a.tobytes() for a in (*opt.params, opt.m, opt.v)] for opt in made)
@@ -518,25 +492,66 @@ class TestAdam:
 
     @pytest.mark.parametrize("break_it", ["compiler", "source"])
     def test_failed_build_falls_back_once_and_leaves_no_files(
-            self, fresh_loader, tmp_path, monkeypatch, capsys, break_it):
-        if break_it == "compiler":
+            self, fresh_loader, tmp_path, tmp_path_factory, monkeypatch, capsys, break_it):
+        if break_it == "compiler":  # no kernel loads
             config_var = sysconfig.get_config_var
             monkeypatch.setattr(sysconfig, "get_config_var",
                                 lambda name: "no-such-cc" if name == "CC" else config_var(name))
-        else:  # a kernel that builds and loads, but adds eps_t under the square root
+        else:  # a library that builds and loads, but whose Adam adds eps_t under the square root
             if shutil.which(configured_cc()) is None:
                 pytest.skip("no C compiler to build the broken kernel with")
-            monkeypatch.setattr(nn, "_ADAM_C", nn._ADAM_C.replace("sqrt(v[i]) + eps_t", "sqrt(v[i] + eps_t)"))
+            broken = tmp_path_factory.mktemp("source") / "kernels.c"
+            broken.write_text(nn._KERNELS_C.read_text().replace("sqrt(v[i]) + eps_t", "sqrt(v[i] + eps_t)"))
+            monkeypatch.setattr(nn, "_KERNELS_C", broken)
+        builds = spy_builds(monkeypatch)
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        assert nn.adam_kernel() is None
-        assert nn.adam_kernel() is None  # cached: no second build, no second line
+        for _ in range(2):  # cached: no second build, no second line
+            assert nn.adam_kernel() is None
+            assert (metrics.batch_error_kernel() is None) == (break_it == "compiler")
+        assert len(builds) == 1
         g = np.array([1.0, 4.0])
         nn.Adam([np.array([0.5, -0.5])], lr=0.1).step([g])
         assert not np.array_equal(g, [1.0, 4.0])  # the numpy form uses the gradient as scratch
-        (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("note: no compiled Adam kernel (")
-        assert ("no-such-cc" if break_it == "compiler" else "differ") in line
+        raw = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
+        got = metrics.normalization_error(nn.Mlp([raw], [np.zeros(2)]), np.array([0, 3]), 1.0)
+        assert got == norm_errors_vectorized(raw, np.array([[0, 3]]), 1.0)[0]
+        adam_line, *batch_lines = capsys.readouterr().err.splitlines()
+        assert adam_line.startswith("note: no compiled Adam kernel (")
+        assert ("no-such-cc" if break_it == "compiler" else "differ") in adam_line
+        if break_it == "compiler":
+            (line,) = batch_lines
+            assert line.startswith("note: no compiled batch-error kernel (no-such-cc")
+            assert line.endswith("; norm-error runs as numpy ufuncs")
+        else:
+            assert batch_lines == []
         assert list(tmp_path.iterdir()) == []
+
+
+def spy_builds(monkeypatch) -> list:
+    """The argument lists of every compiler run the kernel loader starts from now on."""
+    builds, run = [], subprocess.run
+
+    def spy(args, *rest, **kw):
+        if "-shared" in args:
+            builds.append(args)
+        return run(args, *rest, **kw)
+
+    monkeypatch.setattr(subprocess, "run", spy)
+    return builds
+
+
+class TestKernelLibrary:
+    def test_one_build_serves_adam_and_norm_error(self, fresh_loader, tmp_path, monkeypatch):
+        # a process that trains and then measures starts the compiler once
+        if shutil.which(configured_cc()) is None:
+            pytest.skip(f"the configured C compiler {configured_cc()!r} is not on PATH")
+        builds = spy_builds(monkeypatch)
+        nn.Adam([np.zeros(3)], lr=0.1)
+        cfg = tmp_path / "ne.json"
+        cfg.write_text(json.dumps({"M_list": [4], "batch_sizes": [4], "n_inits": 1, "n_batches": 2, "tx_hidden": [4]}))
+        assert cli.main(["norm-error", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(builds) == 1
+        assert nn.adam_kernel() is not None and metrics.batch_error_kernel() is not None
 
 
 class TestGradientCheck:
