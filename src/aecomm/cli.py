@@ -234,7 +234,7 @@ def _train_and_score(config: train.TrainConfig, cfg: dict) -> tuple[train.RunRes
         return result, math.nan
     rng = np.random.default_rng(cfg["val_seed"])
     accuracy = metrics.validation_accuracy(
-        result.constellation, result.rx, config.sigma2, cfg["val_batches"], cfg["val_batch_size"], rng
+        result.constellation, result.rx, config.sigma2, cfg["val_batches"] * cfg["val_batch_size"], rng
     )
     return result, accuracy
 

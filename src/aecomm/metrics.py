@@ -48,15 +48,17 @@ class NormErrorStats:
 def normalization_error(tx: nn.Mlp, batch_indices: np.ndarray, power: float) -> float:
     """Mean distance between batch- and alphabet-scope normalized symbols: the closed
     form of _batch_errors on one batch, nan for an all-zero batch or a dead transmitter."""
-    raw, _ = nn.mlp_forward(np.arange(tx.in_dim), tx)
-    idx = np.asarray(batch_indices)[None]
+    idx = np.asarray(batch_indices)
     if idx.dtype.kind not in "iu":
         raise ValueError(f"batch indices have dtype {idx.dtype}, expected integers")
+    if idx.ndim != 1:
+        raise ValueError(f"batch indices have {idx.ndim} dimensions, expected 1")
     if idx.size and not 0 <= idx.min() <= idx.max() < tx.in_dim:
         raise ValueError("batch index out of range")
+    raw, _ = nn.mlp_forward(np.arange(tx.in_dim), tx)
     out = np.empty(1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        _batch_errors(_alphabet_terms(raw, power), idx.astype(np.min_scalar_type(tx.in_dim - 1)), power, out)
+        _batch_errors(_alphabet_terms(raw, power), idx[None].astype(np.min_scalar_type(tx.in_dim - 1)), power, out)
     return float(out[0])
 
 
@@ -247,17 +249,15 @@ def validation_accuracy(
     points: np.ndarray,
     rx: nn.Mlp,
     sigma2: float,
-    n_batches: int,
-    batch_size: int,
+    n: int,
     rng: np.random.Generator,
 ) -> float:
-    """Categorical accuracy of rx on n_batches * batch_size symbols of the
-    alphabet-normalized constellation `points`, decoded as ser_sweep decodes one SNR point.
+    """Categorical accuracy of rx on n symbols of the alphabet-normalized constellation
+    `points`, decoded as ser_sweep decodes one SNR point.
 
     The sent symbols are the deployed constellation itself, so the set has zero
     normalization error.
     """
-    n = n_batches * batch_size
     return (n - _decode_errors(points, rx, n, sigma2, rng, {})) / n
 
 

@@ -250,8 +250,10 @@ def _library() -> tuple[ctypes.CDLL | None, str]:
             subprocess.run([*cc, *_CFLAGS, "-o", f"{tmp}/kernels.so", str(_KERNELS_C), "-lm"],
                            capture_output=True, check=True, timeout=60)
             return ctypes.CDLL(f"{tmp}/kernels.so"), ""  # mapped, so it outlives its file
-    except (OSError, subprocess.SubprocessError) as exc:
-        return None, f"{cc[0]}: {exc}"
+    except (OSError, subprocess.SubprocessError) as exc:  # the compiler's first error line, if it gave one
+        errors = [line for line in (getattr(exc, "stderr", None) or b"").decode(errors="replace").splitlines()
+                  if "error" in line]
+        return None, f"{cc[0]}: {errors[0] if errors else exc}"
 
 
 def compiled_kernel(name: str, restype, argtypes: list, self_check, what: str, fallback: str):
@@ -288,44 +290,43 @@ def _check_vector(a: np.ndarray, shape: tuple) -> None:
 
 @dataclass
 class Adam:
-    """Adam over one flat parameter vector, updated in place, with BETA1, BETA2 and EPSILON.
+    """Adam over one flat parameter vector p, updated in place, with BETA1, BETA2 and EPSILON.
 
-    params is a one-item list holding that vector (see pack_params); step takes the
-    matching one-item gradient list and may use it as scratch: the caller rewrites it
-    whole before the next step. Both are aligned, writeable, C-contiguous float64 of
-    one shape. A step is Kingma & Ba's efficient form (end of their section 2): the bias
-    corrections fold into the step size and epsilon, an update equal to the textbook
-    one in exact arithmetic. It runs as one C loop over the vector (adam_kernel), or,
-    where none loads, as _adam_numpy's twelve whole-vector ufuncs: the same bits,
-    through one scratch vector.
+    p and the gradient vector g are the two vectors pack_params returns: aligned, writeable,
+    C-contiguous float64 of one shape, bound once and never rebound. step() reads g, which the
+    backward pass rewrites whole before each step, and may use it as scratch. A step is Kingma &
+    Ba's efficient form (end of their section 2): the bias corrections fold into the step size
+    and epsilon, an update equal to the textbook one in exact arithmetic. It runs as one C loop
+    over the vector (adam_kernel), or, where none loads, as _adam_numpy's twelve whole-vector
+    ufuncs: the same bits, through one more scratch vector.
     """
 
-    params: list[np.ndarray]
+    p: np.ndarray
+    g: np.ndarray
     lr: float
     t: int = field(default=0, init=False)  # steps taken
 
     def __post_init__(self):
-        if len(self.params) != 1:
-            raise ValueError("Adam takes a one-item list holding the flat parameter vector")
-        p = self.params[0]
-        _check_vector(p, p.shape)
-        self.m, self.v, self._update = np.zeros_like(p), np.zeros_like(p), np.empty_like(p)
+        _check_vector(self.p, self.p.shape)
+        _check_vector(self.g, self.p.shape)
+        self.m, self.v = np.zeros_like(self.p), np.zeros_like(self.p)
         self._kernel = adam_kernel()
-        self._addresses = p.ctypes.data, self.m.ctypes.data, self.v.ctypes.data  # none is ever rebound
+        self._update = np.empty_like(self.p) if self._kernel is None else None
+        self._addresses = tuple(a.ctypes.data for a in (self.p, self.g, self.m, self.v))
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        if len(grads) != 1:
-            raise ValueError("Adam.step takes a one-item list holding the flat gradient vector")
-        (p,), (g,) = self.params, grads
-        _check_vector(g, p.shape)
+    @property
+    def params(self) -> list[np.ndarray]:
+        """[p], read-only: perfbench/tracer.py sums p.size over it on every traced step. It goes
+        once the benchmark reads p (ROADMAP item 4)."""
+        return [self.p]
+
+    def step(self) -> None:
         self.t += 1
         lr_t, eps_t = _adam_scalars(self.lr, self.t)
         if self._kernel is None:
-            _adam_numpy(p, g, self.m, self.v, self._update, lr_t, eps_t)
+            _adam_numpy(self.p, self.g, self.m, self.v, self._update, lr_t, eps_t)
         else:
-            p_at, m_at, v_at = self._addresses
-            self._kernel(p_at, g.ctypes.data, m_at, v_at, p.size,
-                         BETA1, BETA2, 1.0 - BETA1, 1.0 - BETA2, eps_t, lr_t)
+            self._kernel(*self._addresses, self.p.size, BETA1, BETA2, 1.0 - BETA1, 1.0 - BETA2, eps_t, lr_t)
 
 
 def pack_params(*mlps: Mlp) -> tuple[np.ndarray, np.ndarray]:

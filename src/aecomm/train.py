@@ -138,20 +138,18 @@ def train_step(
     tx: nn.Mlp,
     rx: nn.Mlp,
     optimizer: nn.Adam,
-    grads: np.ndarray,
     batch: np.ndarray,
     noise: np.ndarray,
     config: TrainConfig,
     *,
     ws: dict | None = None,
 ) -> float:
-    """One gradient step on `batch`, with `noise` the channel noise of its rows.
-
-    grads is the flat gradient vector that tx and rx write into (nn.pack_params).
-    ws is the workspace that loss_and_grads writes its per-step arrays into.
+    """One gradient step on `batch`, with `noise` the channel noise of its rows; optimizer holds
+    the flat vectors of tx and rx (nn.pack_params). ws is the workspace that loss_and_grads
+    writes its per-step arrays into.
     """
     loss, _ = loss_and_grads(tx, rx, batch, noise, config.power, config.architecture, ws=ws)
-    optimizer.step([grads])
+    optimizer.step()
     return loss
 
 
@@ -163,8 +161,7 @@ def train_run(config: TrainConfig) -> RunResult:
     The batches and the noise are drawn per block of _DRAW // batch_size steps.
     """
     tx, rx = init_model(config)
-    params, grads = nn.pack_params(tx, rx)
-    optimizer = nn.Adam([params], lr=config.lr)
+    optimizer = nn.Adam(*nn.pack_params(tx, rx), lr=config.lr)
     data_rng = np.random.default_rng(config.data_seed)
     noise_rng = np.random.default_rng(np.random.SeedSequence(config.data_seed).spawn(1)[0])
     ws: dict = {}
@@ -182,7 +179,7 @@ def train_run(config: TrainConfig) -> RunResult:
     loss_curve: list[float] = []
     try:
         for batch, step_noise in steps():
-            loss = train_step(tx, rx, optimizer, grads, batch, step_noise, config, ws=ws)
+            loss = train_step(tx, rx, optimizer, batch, step_noise, config, ws=ws)
             loss_curve.append(loss)
             if not math.isfinite(loss):
                 break

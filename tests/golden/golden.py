@@ -115,7 +115,7 @@ def digests() -> dict:
                  ("parameters", params)]
         if name == VALIDATED:
             parts.append(("validation_accuracy", np.float64(metrics.validation_accuracy(
-                run.constellation, run.rx, config.sigma2, 30, 1000, np.random.default_rng(0)))))
+                run.constellation, run.rx, config.sigma2, 30000, np.random.default_rng(0)))))
         for part, a in parts:
             sums[f"{name}/{part}"] = _sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes())
     return sums

@@ -77,8 +77,7 @@ def test_criterion_2_normalization_exactness():
             init_seed=5, data_seed=6,
         )
         tx, rx = train.init_model(cfg)
-        params, grads = nn.pack_params(tx, rx)
-        opt = nn.Adam([params], lr=cfg.lr)
+        opt = nn.Adam(*nn.pack_params(tx, rx), lr=cfg.lr)
         data_rng = np.random.default_rng(cfg.data_seed)
         noise_rng = np.random.default_rng(np.random.SeedSequence(cfg.data_seed).spawn(1)[0])
         for _ in range(cfg.n_steps):
@@ -88,7 +87,7 @@ def test_criterion_2_normalization_exactness():
             # proposed returns the alphabet constellation, baseline the batch symbols
             mean_power = float(np.mean(np.sum(symbols * symbols, axis=1)))
             assert abs(mean_power - cfg.power) <= 1e-9 * cfg.power
-            opt.step([grads])
+            opt.step()
     report(2)
 
 
@@ -220,8 +219,7 @@ def test_criterion_7_qpsk_ser_sanity():
     snr_db_list = [4.0, 8.0, 12.0]
     rng = np.random.default_rng(0)
     rx = nn.build_mlp([2, 4], rng)  # softmax receiver; ML boundaries are linear
-    params, grads = nn.pack_params(rx)
-    opt = nn.Adam([params], lr=0.02)
+    opt = nn.Adam(*nn.pack_params(rx), lr=0.02)
     for step in range(6000):
         if step == 3000:
             opt.lr = 0.002
@@ -231,7 +229,7 @@ def test_criterion_7_qpsk_ser_sanity():
         logits, cache = nn.mlp_forward(y, rx)
         _, dlogits = nn.softmax_cross_entropy(logits, labels)
         nn.mlp_backward(dlogits, cache, rx)
-        opt.step([grads])
+        opt.step()
 
     rows = metrics.ser_sweep(points, rx, snr_db_list, 30000, np.random.default_rng(78), power=1.0)
     for snr_db, ser, lo, hi in rows:

@@ -24,3 +24,6 @@ def test_traced_train_bs256_counts_every_step():
     bad = [(n, calls[n]) for n in ONCE_PER_STEP if calls[n] != 600]
     bad += [(n, calls[n]) for n in ("nn.mlp_forward.tx", "nn.mlp_forward.rx") if calls[n] < 600]
     assert bad == [], f"span calls per operation off: {bad}"
+    # the tracer counts Adam's traffic through Adam.params: p, g, m, v read and p, m, v written,
+    # 8 B each, over the 46 530 parameters of the paper-scale model
+    assert result["metrics"]["nn.Adam.step.mbytes_per_call"]["value"] == 7 * 8 * 46530 / 1e6

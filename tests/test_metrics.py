@@ -111,6 +111,13 @@ class TestNormalizationError:
         with pytest.raises(ValueError, match="dtype"):
             metrics.normalization_error(random_tx(8, seed=0), np.array(batch), 1.0)
 
+    @pytest.mark.parametrize("batch", [np.array([[0, 3], [1, 2]]), np.array(3)], ids=["2-D", "0-d"])
+    def test_indices_not_one_batch_rejected(self, batch):
+        # without the check, each form failed in its own way: the kernel through ctypes, numpy in a reduction
+        for form in KERNEL_FORMS:
+            with kernel_form(form), pytest.raises(ValueError, match="dimensions, expected 1"):
+                metrics.normalization_error(random_tx(8, seed=0), batch, 1.0)
+
     @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64, np.int64])
     def test_every_integer_dtype_scores_alike(self, dtype):
         tx = random_tx(8, seed=0)
@@ -252,9 +259,10 @@ class TestBatchErrorForms:
     def test_kernel_writes_the_numpy_bytes(self, M, bs, n, s_alpha, power, seed):
         rng = np.random.default_rng(seed)
         table = random_table(rng, M)
-        # +0.0 and -0.0 (the last row all of them: nan), a subnormal, and 1e308s whose sums overflow
+        # +0.0 and -0.0 (the last row all of them: nan), a subnormal, and 1e308s whose sums overflow;
+        # spots may repeat, and the last write to a row wins, so the zeros go last and stay zeros
         spots = rng.integers(0, M, size=5)
-        table.real[spots] = table.imag[spots] = [0.0, -0.0, 5e-324, 1e308, 1e308]
+        table.real[spots[::-1]] = table.imag[spots[::-1]] = [1e308, 1e308, 5e-324, -0.0, 0.0]
         idx = comm.draw_packed(rng, M, np.empty((n + 1, bs), np.min_scalar_type(M - 1)))
         planted = rng.random(idx.shape) < 0.05
         idx[planted] = rng.choice(spots, size=planted.sum())
@@ -422,7 +430,7 @@ def stats_key(stats):
 class TestValidationAccuracy:
     def test_noiseless_separable_is_perfect(self):
         points = qpsk_points()
-        acc = metrics.validation_accuracy(points, matched_filter(points), 1e-10, 5, 200,
+        acc = metrics.validation_accuracy(points, matched_filter(points), 1e-10, 1000,
                                           np.random.default_rng(0))
         assert acc == 1.0
 
@@ -434,7 +442,7 @@ class TestValidationAccuracy:
             rx = nn.build_mlp([2, 100, 100, 128], rng)
             accs.append(
                 metrics.validation_accuracy(
-                    alphabet_points(tx), rx, 10**-4.5, 5, 200, np.random.default_rng(seed + 999)
+                    alphabet_points(tx), rx, 10**-4.5, 1000, np.random.default_rng(seed + 999)
                 )
             )
         p = 1 / 128
@@ -446,8 +454,8 @@ class TestValidationAccuracy:
         points = alphabet_points(nn.build_mlp([16, 30, 2], rng))
         rx = nn.build_mlp([2, 30, 16], rng)
         n = 30 * 1000
-        a1 = metrics.validation_accuracy(points, rx, 0.05, 30, 1000, np.random.default_rng(1))
-        a2 = metrics.validation_accuracy(points, rx, 0.05, 30, 1000, np.random.default_rng(2))
+        a1 = metrics.validation_accuracy(points, rx, 0.05, n, np.random.default_rng(1))
+        a2 = metrics.validation_accuracy(points, rx, 0.05, n, np.random.default_rng(2))
         stderr = np.sqrt(a1 * (1 - a1) / n)
         assert abs(a1 - a2) < 3 * np.sqrt(2) * stderr
 
@@ -455,7 +463,7 @@ class TestValidationAccuracy:
         rng = np.random.default_rng(11)
         points = alphabet_points(nn.build_mlp([4, 8, 2], rng))
         rx = nn.build_mlp([2, 8, 4], rng)
-        acc = metrics.validation_accuracy(points, rx, 0.5, 3, 100, np.random.default_rng(3))
+        acc = metrics.validation_accuracy(points, rx, 0.5, 300, np.random.default_rng(3))
         assert 0.0 <= acc <= 1.0
 
     def test_equals_one_full_array_decode(self):
@@ -464,7 +472,7 @@ class TestValidationAccuracy:
         rng = np.random.default_rng(12)
         points = alphabet_points(nn.build_mlp([128, 100, 100, 2], rng))
         rx = nn.build_mlp([2, 100, 100, 128], rng)
-        acc = metrics.validation_accuracy(points, rx, 0.01, 3, 500, np.random.default_rng(4))
+        acc = metrics.validation_accuracy(points, rx, 0.01, 1500, np.random.default_rng(4))
         data = np.random.default_rng(4)
         labels = data.integers(0, 128, size=1500)
         y = comm.awgn(comm.gather(points, labels), 0.01, data)
@@ -484,7 +492,7 @@ class TestValidationAccuracy:
 
         forward = nn.mlp_forward
         with mock.patch.object(nn, "mlp_forward", spy):
-            metrics.validation_accuracy(points, rx, 0.01, 3, 1000, np.random.default_rng(20))
+            metrics.validation_accuracy(points, rx, 0.01, 3000, np.random.default_rng(20))
         assert rows == [512] * 5 + [440]
 
     def test_memory_bounded_by_block(self):
@@ -494,7 +502,7 @@ class TestValidationAccuracy:
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            metrics.validation_accuracy(points, rx, 0.01, 2, 20000, np.random.default_rng(22))
+            metrics.validation_accuracy(points, rx, 0.01, 40000, np.random.default_rng(22))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

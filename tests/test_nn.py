@@ -350,8 +350,8 @@ class TestAdam:
         for form in KERNEL_FORMS:
             p = np.array([1.0, -2.0])
             with kernel_form(form):
-                opt = nn.Adam([p], lr=0.1)
-            opt.step([np.zeros(2)])
+                opt = nn.Adam(p, np.zeros(2), lr=0.1)
+            opt.step()
             assert np.array_equal(p, [1.0, -2.0]), form
 
     def test_first_step_magnitude(self):
@@ -359,45 +359,48 @@ class TestAdam:
         for form in KERNEL_FORMS:
             p = np.array([0.0])
             with kernel_form(form):
-                opt = nn.Adam([p], lr=0.008)
-            opt.step([np.array([1.0])])
+                opt = nn.Adam(p, np.array([1.0]), lr=0.008)
+            opt.step()
             assert p[0] == pytest.approx(-0.008, rel=1e-6), form
 
     def test_deterministic_trajectory(self):
         def run():
             rng = np.random.default_rng(33)
-            p = np.array([0.5, -0.5])
-            opt = nn.Adam([p], lr=0.01)
+            p, g = np.array([0.5, -0.5]), np.empty(2)
+            opt = nn.Adam(p, g, lr=0.01)
             for _ in range(50):
-                opt.step([rng.normal(size=2)])
+                g[:] = rng.normal(size=2)
+                opt.step()
             return p
 
         assert np.array_equal(run(), run())
 
     def test_shape_mismatch(self):
-        opt = nn.Adam([np.zeros(3)], lr=0.001)
         with pytest.raises(ValueError):
-            opt.step([np.zeros(4)])
+            nn.Adam(np.zeros(3), np.zeros(4), lr=0.001)
 
-    def test_one_flat_vector_only(self):
-        with pytest.raises(ValueError):
-            nn.Adam([np.zeros(3), np.zeros(2)], lr=0.001)
-        opt = nn.Adam([np.zeros(3)], lr=0.001)
-        with pytest.raises(ValueError):
-            opt.step([np.zeros(3), np.zeros(3)])
+    def test_gradient_of_another_shape_refused(self):
+        # the kernel reads p.size entries of g: one of p's size but another shape is refused too
+        for shape in [(1, 3), (3, 1), ()]:
+            with pytest.raises(ValueError, match=r"of shape \(3,\)"):
+                nn.Adam(np.zeros(3), np.zeros(shape), lr=0.001)
+
+    def test_params_is_a_read_only_view_of_p(self):
+        p = np.zeros(3)
+        opt = nn.Adam(p, np.zeros(3), lr=0.001)
+        assert len(opt.params) == 1 and opt.params[0] is p
+        with pytest.raises(AttributeError):
+            opt.params = [np.zeros(3)]
 
     @pytest.mark.parametrize("bad", [np.zeros(6, np.float32), np.zeros(12)[::2], np.zeros(6)[::-1],
                                      np.frombuffer(bytearray(56), offset=1, count=6), np.frombuffer(bytes(48))],
                              ids=["float32", "strided", "reversed", "misaligned", "read-only"])
     def test_vectors_the_kernel_cannot_read_raise(self, bad):
-        for form in KERNEL_FORMS:
-            with kernel_form(form):
-                with pytest.raises(ValueError):
-                    nn.Adam([bad], lr=0.01)
-                opt = nn.Adam([np.zeros(6)], lr=0.01)
-            with pytest.raises(ValueError):
-                opt.step([bad])
-            assert opt.t == 0
+        # both forms: the vectors are checked before the form is chosen
+        with pytest.raises(ValueError):
+            nn.Adam(bad, np.zeros(6), lr=0.01)
+        with pytest.raises(ValueError):
+            nn.Adam(np.zeros(6), bad, lr=0.01)
 
     @staticmethod
     def flat_and_reference(shapes, n_steps, lr, t0, seed, textbook, form="kernel"):
@@ -410,13 +413,13 @@ class TestAdam:
         ]
         reference_adam(ref, grad_steps, lr, 0.9, 0.999, 1e-8, t0=t0, textbook=textbook)
 
-        with kernel_form(form):
-            opt = nn.Adam([flat], lr=lr)
-        opt.t = t0
         g_flat = np.empty_like(flat)  # one reused vector, rewritten whole before each step
+        with kernel_form(form):
+            opt = nn.Adam(flat, g_flat, lr=lr)
+        opt.t = t0
         for grads in grad_steps:
             np.concatenate([g.ravel() for g in grads], out=g_flat)
-            opt.step([g_flat])
+            opt.step()
         return flat, np.concatenate([p.ravel() for p in ref])
 
     adam_inputs = given(
@@ -455,12 +458,13 @@ class TestAdam:
         states = []
         for form in KERNEL_FORMS:
             with kernel_form(form):
-                opt = nn.Adam([np.linspace(-1.0, 1.0, special.size)], lr=0.01)
+                opt = nn.Adam(np.linspace(-1.0, 1.0, special.size), np.empty(special.size), lr=0.01)
             opt.t = t0
             with np.errstate(all="ignore"):
                 for k in range(4):
-                    opt.step([special * (-1.0) ** k])
-            states.append([a.tobytes() for a in (*opt.params, opt.m, opt.v)])
+                    np.multiply(special, (-1.0) ** k, out=opt.g)
+                    opt.step()
+            states.append([a.tobytes() for a in (opt.p, opt.m, opt.v)])
         assert states[0] == states[1]
 
     @pytest.mark.parametrize("architecture", train.ARCHITECTURES)
@@ -480,7 +484,7 @@ class TestAdam:
             with kernel_form(form):
                 runs.append(train.train_run(config))
         assert runs[0].loss_curve == runs[1].loss_curve
-        kernel, numpy_form = ([a.tobytes() for a in (*opt.params, opt.m, opt.v)] for opt in made)
+        kernel, numpy_form = ([a.tobytes() for a in (opt.p, opt.m, opt.v)] for opt in made)
         assert kernel == numpy_form
 
     def test_kernel_loads(self):
@@ -490,40 +494,47 @@ class TestAdam:
             pytest.skip(f"the configured C compiler {configured_cc()!r} is not on PATH")
         assert nn.adam_kernel() is not None
 
-    @pytest.mark.parametrize("break_it", ["compiler", "source"])
+    @pytest.mark.parametrize("break_it", ["compiler", "source", "syntax"])
     def test_failed_build_falls_back_once_and_leaves_no_files(
             self, fresh_loader, tmp_path, tmp_path_factory, monkeypatch, capsys, break_it):
         if break_it == "compiler":  # no kernel loads
             config_var = sysconfig.get_config_var
             monkeypatch.setattr(sysconfig, "get_config_var",
                                 lambda name: "no-such-cc" if name == "CC" else config_var(name))
-        else:  # a library that builds and loads, but whose Adam adds eps_t under the square root
+        else:  # "source": a library that builds and loads, but whose Adam adds eps_t under the
+            # square root; "syntax": a source without a comma between two parameters, which no kernel builds
             if shutil.which(configured_cc()) is None:
                 pytest.skip("no C compiler to build the broken kernel with")
             broken = tmp_path_factory.mktemp("source") / "kernels.c"
-            broken.write_text(nn._KERNELS_C.read_text().replace("sqrt(v[i]) + eps_t", "sqrt(v[i] + eps_t)"))
+            edit = ("sqrt(v[i]) + eps_t", "sqrt(v[i] + eps_t)") if break_it == "source" else ("b1, double", "b1 double")
+            broken.write_text(nn._KERNELS_C.read_text().replace(*edit))
             monkeypatch.setattr(nn, "_KERNELS_C", broken)
         builds = spy_builds(monkeypatch)
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         for _ in range(2):  # cached: no second build, no second line
             assert nn.adam_kernel() is None
-            assert (metrics.batch_error_kernel() is None) == (break_it == "compiler")
+            assert (metrics.batch_error_kernel() is None) == (break_it != "source")
         assert len(builds) == 1
         g = np.array([1.0, 4.0])
-        nn.Adam([np.array([0.5, -0.5])], lr=0.1).step([g])
+        nn.Adam(np.array([0.5, -0.5]), g, lr=0.1).step()
         assert not np.array_equal(g, [1.0, 4.0])  # the numpy form uses the gradient as scratch
         raw = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
         got = metrics.normalization_error(nn.Mlp([raw], [np.zeros(2)]), np.array([0, 3]), 1.0)
         assert got == norm_errors_vectorized(raw, np.array([[0, 3]]), 1.0)[0]
         adam_line, *batch_lines = capsys.readouterr().err.splitlines()
-        assert adam_line.startswith("note: no compiled Adam kernel (")
-        assert ("no-such-cc" if break_it == "compiler" else "differ") in adam_line
+        prefix, suffix = "note: no compiled Adam kernel (", "); Adam runs as numpy ufuncs"
+        assert adam_line.startswith(prefix) and adam_line.endswith(suffix)
+        reason = adam_line[len(prefix):-len(suffix)]
         if break_it == "compiler":
-            (line,) = batch_lines
-            assert line.startswith("note: no compiled batch-error kernel (no-such-cc")
-            assert line.endswith("; norm-error runs as numpy ufuncs")
-        else:
+            assert reason.startswith("no-such-cc: ")
+        elif break_it == "source":
+            assert reason == "its results differ from numpy's"
+        else:  # the compiler's own error line, which names the file, line and column
+            assert reason.startswith(f"{configured_cc()}: {nn._KERNELS_C}:9:") and ": error: " in reason
+        if break_it == "source":
             assert batch_lines == []
+        else:
+            assert batch_lines == [f"note: no compiled batch-error kernel ({reason}); norm-error runs as numpy ufuncs"]
         assert list(tmp_path.iterdir()) == []
 
 
@@ -546,7 +557,7 @@ class TestKernelLibrary:
         if shutil.which(configured_cc()) is None:
             pytest.skip(f"the configured C compiler {configured_cc()!r} is not on PATH")
         builds = spy_builds(monkeypatch)
-        nn.Adam([np.zeros(3)], lr=0.1)
+        nn.Adam(np.zeros(3), np.zeros(3), lr=0.1)
         cfg = tmp_path / "ne.json"
         cfg.write_text(json.dumps({"M_list": [4], "batch_sizes": [4], "n_inits": 1, "n_batches": 2, "tx_hidden": [4]}))
         assert cli.main(["norm-error", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
