@@ -49,21 +49,8 @@ def _openblas_function(name: str):
     numpy 2.x wheels bundle scipy-openblas, whose symbols carry a scipy_ prefix,
     and 1.x wheels plain OpenBLAS; 64-bit-integer builds add a 64_ suffix.
     """
-    try:
-        with open("/proc/self/maps") as fh:  # Linux only
-            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}  # the path may hold spaces
-    except OSError:
-        return None
-    for path in sorted(p for p in paths if "blas" in os.path.basename(p).lower()):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # e.g. a library marked "(deleted)"
-            continue
-        for sym in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
-                    f"openblas_{name}64_", f"openblas_{name}"):
-            if hasattr(lib, sym):
-                return getattr(lib, sym)
-    return None
+    return nn.blas_function(f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
+                            f"openblas_{name}64_", f"openblas_{name}")
 
 
 def pin_blas_threads() -> None:

@@ -1,5 +1,6 @@
 """Communication-specific layers: norm-error's packed uniform message source,
-power normalization, batch slicing, the AWGN channel, and hard decoding.
+power normalization, batch slicing (whose scatter-add adjoint runs as one C
+loop of nn's compiled library), the AWGN channel, and hard decoding.
 Training batches and validation and SER labels come from Generator.integers.
 
 Symbols live in R^2 (one complex value per row). Power conventions: P is the
@@ -9,6 +10,8 @@ per real component), and SNR = P / sigma2.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 
 import numpy as np
@@ -81,19 +84,60 @@ def gather(X_all: np.ndarray, indices: np.ndarray, out: np.ndarray | None = None
     return np.take(X_all, indices, axis=0, out=out, mode="clip")  # in range: checked above
 
 
-def gather_backward(dX_batch: np.ndarray, indices: np.ndarray, n_rows: int, out=None, flat=None) -> np.ndarray:
+def gather_backward(dX_batch: np.ndarray, indices: np.ndarray, n_rows: int, out: np.ndarray | None = None) -> np.ndarray:
     """Scatter-add of batch gradients onto n_rows zero rows in row order, into out (C-contiguous) if
-    given; indices as gather checked them. flat, intp and shaped like dX_batch, takes the flat index."""
-    out = np.empty((n_rows, dX_batch.shape[1])) if out is None else out
-    if indices.size == n_rows and (indices[1:] > indices[:-1]).all():  # 0..n_rows-1
-        return np.add(dX_batch, 0.0, out=out)  # 0.0 + d, as the scatter onto zeros gives
-    flat = np.empty(dX_batch.shape, np.intp) if flat is None else flat
-    np.copyto(flat, indices[:, None])  # in intp, so a narrow index dtype cannot wrap
-    flat *= out.shape[1]
-    flat += np.arange(out.shape[1])
+    given; indices as gather checked them.
+
+    It runs as one C loop (scatter_add_kernel) where that loads and may take the arrays as raw
+    memory: intp indices, one per row, and aligned, writeable, C-contiguous float64 rows and out.
+    Else it runs as _scatter_add_numpy, with the same bits.
+    """
+    cols = dX_batch.shape[1]
+    out = np.empty((n_rows, cols)) if out is None else out
+    kernel = scatter_add_kernel()
+    if (kernel is not None and indices.dtype == np.intp and indices.flags.carray
+            and dX_batch.dtype == out.dtype == np.float64 and dX_batch.flags.carray and out.flags.carray
+            and dX_batch.shape == (len(indices), cols) and out.shape == (n_rows, cols)):
+        kernel(dX_batch.ctypes.data, indices.ctypes.data, len(indices), cols, out.ctypes.data, n_rows)
+        return out
+    return _scatter_add_numpy(dX_batch, indices, out)
+
+
+def _scatter_add_numpy(dX_batch: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """gather_backward as one np.add.at of whole rows: the fallback where no kernel loads, and the
+    reference the kernel must equal bit for bit."""
     out.fill(0.0)
-    np.add.at(out.reshape(-1), flat.reshape(-1), dX_batch.reshape(-1))
+    np.add.at(out, indices, dX_batch)
     return out
+
+
+def _scatter_add_self_check(kernel) -> bool:
+    """Whether `kernel` writes _scatter_add_numpy's bits (nn.bits) over garbage on 33 rows of 5 columns into
+    10 rows, two of which no index names. Index 3 takes 1, 1e16 and -1e16 first in column 0, which
+    sum to 0 in row order and to 1 in reverse; the batch holds -0.0, inf and nan."""
+    from . import nn  # nn imports this module
+
+    rng = np.random.default_rng(0)
+    indices = np.r_[3, 3, 3, rng.integers(0, 8, size=30)].astype(np.intp)
+    d = rng.normal(size=(33, 5)) * 10.0 ** rng.integers(-8, 9, size=(33, 5))
+    d[:3, 0] = [1.0, 1e16, -1e16]
+    d[rng.random(d.shape) < 0.2] = -0.0
+    d[5:7, 2] = [np.inf, np.nan]
+    want, got = (np.frombuffer(rng.bytes(400), np.float64).reshape(10, 5).copy() for _ in range(2))
+    _scatter_add_numpy(d, indices, want)
+    kernel(d.ctypes.data, indices.ctypes.data, *d.shape, got.ctypes.data, len(got))
+    return nn.bits(want) == nn.bits(got)
+
+
+@functools.cache
+def scatter_add_kernel():
+    """gather_backward's C loop from nn's compiled kernels.c, or None where it does not compile, load, or
+    equal _scatter_add_numpy bit for bit; gather_backward then runs that, and one stderr line says why."""
+    from . import nn
+
+    return nn.compiled_kernel("scatter_add", None, [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
+                                                    ctypes.c_void_p, ctypes.c_ssize_t],
+                              _scatter_add_self_check, "scatter-add kernel", "the scatter-add runs as numpy ufuncs")
 
 
 def draw_packed(rng: np.random.Generator, M: int, out: np.ndarray) -> np.ndarray:

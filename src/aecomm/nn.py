@@ -7,8 +7,10 @@ consistent; only indices and labels, which numpy would clip or wrap, are range-c
 index input's dtype and range by comm.gather, its row lookup, and a backward pass, whose
 scatter-add is comm.gather_backward, trusts the indices its forward pass checked. pack_params
 moves several MLPs' parameters and gradients into one contiguous vector each, which Adam updates.
-compiled_kernel serves the C loops of kernels.c, Adam's step and metrics' batch errors, from one
-library that the first caller in a process compiles.
+compiled_kernel serves the C loops of kernels.c from one library that the first caller in a process
+compiles: Adam's step, the dense layers of mlp_forward and of mlp_backward, comm's scatter-add and
+metrics' batch errors. The dense loops call the cblas_dgemm that np.matmul calls (numpy's OpenBLAS,
+found by blas_function), where numpy would call it, so every form gives the same bits.
 
 mlp_forward, mlp_backward and softmax_cross_entropy write their per-call
 arrays into a workspace: a plain dict, passed as `ws`, so repeated calls
@@ -16,16 +18,21 @@ allocate nothing. The forward pass keeps one set of arrays, sized to its
 longest call so far, and serves a call of fewer rows from their leading rows;
 the backward pass and the cross-entropy keep one entry per row count. A layer
 keeps only arrays read again: its ReLU overwrites its pre-activation, and its
-dZ the upstream gradient. A workspace serves one network. Its arrays are
-overwritten by the next forward call, or the next call of the same other pass
-on the same row count, so results taken from one are valid until then.
-Without a workspace a call returns fresh arrays.
+dZ the upstream gradient. The forward and backward entries also keep the
+address table of their C loop, rebuilt only when another array takes a place
+in it. A workspace serves one network. Its arrays are overwritten by the next
+forward call, or the next call of the same other pass on the same row count,
+so results taken from one are valid until then. Without a workspace a call
+returns fresh arrays.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
+import operator
+import os
 import pathlib
 import sys
 from dataclasses import dataclass, field
@@ -98,24 +105,39 @@ def mlp_forward(X: np.ndarray, mlp: Mlp, *, ws: dict | None = None) -> tuple[np.
 
     The cache's arrays live in the workspace `ws`. A hidden layer's output is
     its ReLU, written over its pre-activation: max(z, 0) > 0 exactly when z > 0.
+    The layers after any row lookup run as one C loop (dense_forward_kernel) where
+    it loads and numpy would call gemm; else as _forward_numpy, with the same bits.
     """
     ws = {} if ws is None else ws
     n, bufs = len(X), ws.get("forward")
     if bufs is None or len(bufs[0]) < n:  # one set, grown to the longest call
-        bufs = ws["forward"] = [np.empty((n, W.shape[1])) for W in mlp.weights]
-    last = len(mlp.weights) - 1
-    cache = []
-    A = X
-    for k, (W, b, Z) in enumerate(zip(mlp.weights, mlp.biases, bufs, strict=True)):
-        Z = Z[:n]
-        if A.ndim == 1:
-            comm.gather(W, A, out=Z)
-        else:
+        bufs = ws["forward"] = _Arrays(np.empty((n, W.shape[1])) for W in mlp.weights)
+    if X.ndim == 2 and X.shape[1] != mlp.in_dim:  # checked before a C loop reads X
+        raise ValueError(f"input has {X.shape[1]} columns, the first layer takes {mlp.in_dim}")
+    Zs = [Z if len(Z) == n else Z[:n] for Z in bufs]  # a full-length call reuses the objects, and their plan
+    if X.ndim == 1:
+        comm.gather(mlp.weights[0], X, out=Zs[0])
+    cache = list(zip([X, *Zs[:-1]], Zs))
+    kernel = dense_forward_kernel()
+    plan = None if kernel is None else _plan(bufs, (*mlp.weights, *mlp.biases, *Zs), lambda: _forward_rows(mlp, Zs))
+    if plan is not None and plan.table is not None and n >= 2 and (X.ndim == 1 or _readable(X)):
+        kernel(plan.gemm, plan.table, len(Zs), None if X.ndim == 1 else plan.address(0, X), n)
+    else:
+        _forward_numpy(cache, mlp)
+    return Zs[-1], cache
+
+
+def _forward_numpy(cache: list, mlp: Mlp) -> None:
+    """mlp_forward's layers as numpy ufuncs, into the cache's outputs; the first layer's output
+    already holds its rows where its input is an index array. The fallback where no kernel loads,
+    and the reference the kernel must equal bit for bit."""
+    last = len(cache) - 1
+    for k, ((A, Z), W, b) in enumerate(zip(cache, mlp.weights, mlp.biases, strict=True)):
+        if A.ndim == 2:
             np.matmul(A, W, out=Z)
         Z += b
-        cache.append((A, Z))
-        A = Z if k == last else np.maximum(Z, 0.0, out=Z)
-    return A, cache
+        if k < last:
+            np.maximum(Z, 0.0, out=Z)
 
 
 def mlp_backward(
@@ -124,32 +146,45 @@ def mlp_backward(
     """Backward pass through mlp_forward's cache on mlp, for a dY shaped like that forward's output.
 
     Overwrites mlp.grads and returns (dX, mlp.grads). dX is None for an
-    index input, whose gradient nothing uses. dX and the upstream gradients
-    live in the workspace `ws`.
+    index input, whose gradient nothing uses; its first weight gradient is the
+    scatter-add comm.gather_backward. dX and the upstream gradients live in the
+    workspace `ws`. The layers run as one C loop (dense_backward_kernel) where it
+    loads and numpy would call gemm; else as _backward_numpy, with the same bits.
     """
-    # per layer: the ReLU mask (None on the linear last layer), then dA or the flat scatter
-    # index; a hidden layer's dZ overwrites the dA it receives, in the layer above's buffer
-    last = len(cache) - 1
-    bufs = _buffers(ws, ("backward", len(dY), cache[0][0].ndim), lambda: [
-        (np.empty(Z.shape, bool) if k < last else None,
-         np.empty(Z.shape, np.intp) if A_in.ndim == 1 else np.empty((len(Z), A_in.shape[1])))
-        for k, (A_in, Z) in enumerate(cache)])
-    grads = mlp.grads
-    dA = dY
+    # per layer the gradient of its input (none for an index input); a hidden layer's
+    # dZ overwrites the one it receives, in the layer above's buffer
+    n, X, grads = len(dY), cache[0][0], mlp.grads
+    dAs = _buffers(ws, ("backward", n, X.ndim), lambda: _Arrays(
+        None if A_in.ndim == 1 else np.empty((n, A_in.shape[1])) for A_in, _ in cache))
+    kernel = dense_backward_kernel()
+    plan = None if kernel is None else _plan(
+        dAs, (*mlp.weights, *grads, *(a for pair in cache[1:] for a in pair), cache[0][1], *dAs),
+        lambda: _backward_rows(mlp, cache, dAs))
+    if (plan is not None and plan.table is not None and n >= 2 and dY.shape == cache[-1][1].shape
+            and _readable(dY) and (X.ndim == 1 or (X.shape == (n, mlp.in_dim) and _readable(X)))):
+        kernel(plan.gemm, plan.table, len(cache), None if X.ndim == 1 else plan.address(0, X),
+               plan.address(1, dY), n)
+    else:
+        _backward_numpy(dY, cache, mlp, dAs)
+    if X.ndim == 2:
+        return dAs[0], grads
+    comm.gather_backward(dAs[1] if len(cache) > 1 else dY, X, len(grads[0]), out=grads[0])
+    return None, grads
+
+
+def _backward_numpy(dY: np.ndarray, cache: list, mlp: Mlp, dAs: list) -> None:
+    """mlp_backward's layers as numpy ufuncs, all but an index input's scatter. The fallback where
+    no kernel loads, and the reference the kernel must equal bit for bit."""
+    grads, last = mlp.grads, len(cache) - 1
+    dZ = dY
     for k in range(last, -1, -1):
-        (A_in, Z), (mask, dA_out) = cache[k], bufs[k]
-        dZ = dA
-        if mask is not None:
-            # ReLU subgradient at 0 taken as 0
-            np.multiply(dZ, np.greater(Z, 0.0, out=mask), out=dZ)
-        if A_in.ndim == 1:
-            comm.gather_backward(dZ, A_in, len(grads[2 * k]), out=grads[2 * k], flat=dA_out)
-            dA = None
-        else:
-            np.matmul(A_in.T, dZ, out=grads[2 * k])
-            dA = np.matmul(dZ, mlp.weights[k].T, out=dA_out)
+        A_in, Z = cache[k]
+        if k < last:
+            np.multiply(dZ, np.greater(Z, 0.0), out=dZ)  # ReLU subgradient at 0 taken as 0
         np.add.reduce(dZ, axis=0, out=grads[2 * k + 1])
-    return dA, grads
+        if A_in.ndim == 2:
+            np.matmul(A_in.T, dZ, out=grads[2 * k])
+            dZ = np.matmul(dZ, mlp.weights[k].T, out=dAs[k])
 
 
 def softmax_cross_entropy(
@@ -181,9 +216,10 @@ def softmax_cross_entropy(
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 # -O3: GCC 12 vectorizes Adam's loop only there; -fno-math-errno: else sqrt stays scalar;
-# -ffp-contract=off: else a*b + c may fuse into an FMA, which rounds once, not twice
+# -ffp-contract=off: else a*b + c may fuse into an FMA, which rounds once, not twice;
+# -fno-trapping-math, which changes no IEEE result: else the ReLU mask's multiply becomes a branch
 _KERNELS_C = pathlib.Path(__file__).with_name("kernels.c")
-_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math")
 
 
 def _adam_scalars(lr: float, t: int) -> tuple[float, float]:
@@ -280,6 +316,211 @@ def adam_kernel():
     equal _adam_numpy bit for bit; Adam then runs _adam_numpy, and one stderr line says why."""
     return compiled_kernel("adam_step", None, [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 6,
                            _adam_self_check, "Adam kernel", "Adam runs as numpy ufuncs")
+
+
+def blas_function(*names: str):
+    """The first of the functions `names` that a loaded BLAS library exports, or None.
+
+    A library counts as BLAS where "blas" is in its file name; the libraries are those
+    /proc/self/maps lists (Linux only), tried in the order of their paths.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh}  # the path may hold spaces
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if "blas" in os.path.basename(p).lower()):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a library marked "(deleted)"
+            continue
+        for name in names:
+            if hasattr(lib, name):
+                return getattr(lib, name)
+    return None
+
+
+@functools.cache
+def _dgemm() -> int | None:
+    """Address of the cblas_dgemm that np.matmul calls, taken from the loaded OpenBLAS built with 64-bit
+    integers (numpy's own), or None after one stderr line. Another BLAS, or one built with 32-bit
+    integers, would take other arguments, so it is not used."""
+    dgemm = blas_function("scipy_cblas_dgemm64_", "cblas_dgemm64_")
+    if dgemm is None:
+        print("note: no 64-bit-integer cblas_dgemm found in the loaded BLAS; dense passes run as numpy ufuncs",
+              file=sys.stderr)
+        return None
+    return ctypes.cast(dgemm, ctypes.c_void_p).value
+
+
+def _readable(a: np.ndarray) -> bool:
+    """Whether a C loop may take a as raw memory: aligned, writeable, C-contiguous float64."""
+    return a.dtype == np.float64 and a.flags.carray
+
+
+def _forward_rows(mlp: Mlp, Zs: list) -> list | None:
+    """dense_forward's layer rows (in, out, W, b, Z) for mlp writing Zs, or None where it cannot serve
+    them: layers that do not chain, each with a bias and outputs of its width, arrays it cannot read
+    raw, or a width below 2, where numpy calls gemv or its own loop, not gemm."""
+    shapes = [W.shape for W in mlp.weights]
+    if not (len(mlp.biases) == len(Zs) == len(shapes) and all(len(s) == 2 and min(s) >= 2 for s in shapes)
+            and all(a[1] == b[0] for a, b in zip(shapes, shapes[1:]))
+            and all(b.shape == Z.shape[1:] == (s[1],) for b, Z, s in zip(mlp.biases, Zs, shapes))
+            and all(map(_readable, (*mlp.param_list(), *Zs)))):
+        return None
+    return [(*W.shape, W.ctypes.data, b.ctypes.data, Z.ctypes.data) for W, b, Z in zip(mlp.weights, mlp.biases, Zs)]
+
+
+def _backward_rows(mlp: Mlp, cache: list, dAs: list) -> list | None:
+    """dense_backward's layer rows (in, out, W, Z, gW, gb, dA) for mlp on cache, into dAs, or None
+    where it cannot serve them. dA is 0 for an index input's first layer."""
+    Zs = [Z for _, Z in cache]
+    if not (_forward_rows(mlp, Zs) and all(A is Z for (A, _), Z in zip(cache[1:], Zs))
+            and all(len(Z) == len(Zs[0]) for Z in Zs)
+            and all(map(_readable, (*mlp.grads, *(dA for dA in dAs if dA is not None))))
+            and all(g.shape == p.shape for g, p in zip(mlp.grads, mlp.param_list(), strict=True))
+            and all(dA is None or dA.shape == (len(Zs[0]), W.shape[0]) for dA, W in zip(dAs, mlp.weights))):
+        return None
+    return [(*W.shape, W.ctypes.data, Z.ctypes.data, gW.ctypes.data, gb.ctypes.data, 0 if dA is None else dA.ctypes.data)
+            for W, Z, gW, gb, dA in zip(mlp.weights, Zs, mlp.grads[::2], mlp.grads[1::2], dAs)]
+
+
+class _Plan:
+    """A dense loop's table, one row of widths and addresses per layer (None where the loop cannot
+    serve the arrays), with the arrays whose addresses it holds. It also keeps the array that each
+    of two per-call arguments got last, and its address, looked up again only for another array:
+    a lookup costs ~2 us."""
+
+    __slots__ = ("arrays", "gemm", "table", "_rows", "_held")
+
+    def __init__(self, arrays: tuple, rows: list | None):
+        self.arrays, self.gemm, self._held = arrays, _dgemm(), [(None, 0), (None, 0)]
+        self._rows = None if rows is None else (ctypes.c_int64 * (len(rows) * len(rows[0])))(*itertools.chain(*rows))
+        self.table = None if rows is None else ctypes.addressof(self._rows)
+
+    def address(self, slot: int, a: np.ndarray) -> int:
+        held, address = self._held[slot]
+        if held is not a:
+            address = a.ctypes.data
+            self._held[slot] = (a, address)
+        return address
+
+
+class _Arrays(list):
+    """A workspace entry's arrays, and the _Plan of the loop that reads or writes them (None until built)."""
+
+    plan = None
+
+
+def _plan(entry: _Arrays, arrays: tuple, rows) -> _Plan:
+    """entry's plan while it holds the addresses of these very arrays, else a new one of rows()."""
+    plan = entry.plan
+    if plan is None or len(plan.arrays) != len(arrays) or not all(map(operator.is_, plan.arrays, arrays)):
+        plan = entry.plan = _Plan(arrays, rows())
+    return plan
+
+
+def bits(a: np.ndarray) -> bytes:
+    """a's bytes, with every nan as one: the compiled loops equal their numpy forms bit for bit but
+    for the sign and payload of a nan where two unequal nans meet in one addition. IEEE 754 leaves
+    open which comes out, and numpy's own choice varies with an array's length."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def _dense_checks():
+    """(network, input, upstream gradient, its forward cache computed by _forward_numpy) for the dense
+    self-checks: a [6, 9, 7, 3] network on 11 rows, with an index and a matrix input, with finite and
+    with nan and inf values.
+
+    Weights span six decades, so a changed summation order shows. With finite values, through the
+    first layer's column 0 an index input gives -0.0 pre-activations; column 1 of the second layer is
+    zero after its ReLU in every row, and receives only negative gradients, so its dZ column is all
+    -0.0; dY holds -0.0. The other cases hold nan and inf inputs, biases and gradients.
+    """
+    for index_input, special in itertools.product((True, False), repeat=2):
+        rng = np.random.default_rng(2)
+        mlp = build_mlp([6, 9, 7, 3], rng)
+        for W, b in zip(mlp.weights, mlp.biases):
+            W *= 10.0 ** rng.integers(-3, 3, size=W.shape)
+            b[:] = rng.normal(size=b.shape)
+        mlp.weights[0][:, 0] = mlp.biases[0][0] = -0.0
+        mlp.biases[1][1] = -1e300
+        mlp.weights[2][1] = -np.abs(mlp.weights[2][1])
+        X = np.r_[0:6, 0:5] if index_input else rng.normal(size=(11, 6))
+        dY = np.abs(rng.normal(size=(11, 3)))
+        dY[0, 2] = -0.0
+        if special:
+            mlp.biases[0][2:4] = [np.inf, -np.inf]
+            mlp.biases[1][3] = np.nan
+            dY[-1, :2] = [np.inf, np.nan]
+            if not index_input:
+                X[-2:, :2] = [[np.nan, 1.0], [np.inf, -np.inf]]
+        Zs = [np.empty((len(X), W.shape[1])) for W in mlp.weights]
+        if index_input:
+            comm.gather(mlp.weights[0], X, out=Zs[0])
+        cache = list(zip([X, *Zs[:-1]], Zs))
+        with np.errstate(all="ignore"):
+            _forward_numpy(cache, mlp)
+        yield mlp, X, dY, cache
+
+
+def _dense_forward_self_check(kernel) -> bool:
+    """Whether `kernel` writes _forward_numpy's bits in every case of _dense_checks."""
+    for mlp, X, _, cache in _dense_checks():
+        Zs = [np.empty_like(Z) for _, Z in cache]
+        if X.ndim == 1:
+            comm.gather(mlp.weights[0], X, out=Zs[0])
+        plan = _Plan((), _forward_rows(mlp, Zs))  # held: the table lives as long as the plan
+        kernel(plan.gemm, plan.table, len(Zs), None if X.ndim == 1 else X.ctypes.data, len(X))
+        if [bits(Z) for Z in Zs] != [bits(Z) for _, Z in cache]:
+            return False
+    return True
+
+
+def _dense_backward_self_check(kernel) -> bool:
+    """Whether `kernel` writes _backward_numpy's bits, gradients and upstream buffers, in every case
+    of _dense_checks."""
+    for mlp, X, dY, cache in _dense_checks():
+        out = []
+        for form in ("numpy", "kernel"):
+            mlp.grads = [np.full_like(p, np.pi) for p in mlp.param_list()]
+            dAs = [None if A.ndim == 1 else np.full((len(X), A.shape[1]), np.pi) for A, _ in cache]
+            if form == "kernel":
+                plan = _Plan((), _backward_rows(mlp, cache, dAs))
+                kernel(plan.gemm, plan.table, len(cache), None if X.ndim == 1 else X.ctypes.data, dY.ctypes.data,
+                       len(X))
+            else:
+                with np.errstate(all="ignore"):
+                    _backward_numpy(dY, cache, mlp, dAs)
+            out.append([bits(a) for a in (*mlp.grads, *dAs) if a is not None])
+        if out[0] != out[1]:
+            return False
+    return True
+
+
+_DENSE_ARGS = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p]
+
+
+@functools.cache
+def dense_forward_kernel():
+    """mlp_forward's C loop from the compiled kernels.c, or None where no dgemm is found or the loop
+    does not compile, load, or equal _forward_numpy bit for bit; the forward pass then runs that, and
+    one stderr line says why."""
+    if _dgemm() is None:
+        return None
+    return compiled_kernel("dense_forward", None, _DENSE_ARGS + [ctypes.c_ssize_t], _dense_forward_self_check,
+                           "dense forward kernel", "the forward pass runs as numpy ufuncs")
+
+
+@functools.cache
+def dense_backward_kernel():
+    """mlp_backward's C loop from the compiled kernels.c, or None where no dgemm is found or the loop
+    does not compile, load, or equal _backward_numpy bit for bit; the backward pass then runs that,
+    and one stderr line says why."""
+    if _dgemm() is None:
+        return None
+    return compiled_kernel("dense_backward", None, _DENSE_ARGS + [ctypes.c_void_p, ctypes.c_ssize_t],
+                           _dense_backward_self_check, "dense backward kernel", "the backward pass runs as numpy ufuncs")
 
 
 def _check_vector(a: np.ndarray, shape: tuple) -> None:

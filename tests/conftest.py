@@ -1,6 +1,7 @@
 import pytest
 
-from aecomm import cli, metrics, nn
+from aecomm import cli, nn
+from helpers import KERNEL_GETTERS
 
 
 def pytest_sessionstart(session):
@@ -13,7 +14,7 @@ def pytest_sessionstart(session):
 @pytest.fixture
 def fresh_loader():
     """Empty kernel caches, emptied again afterwards so later tests load the real kernels."""
-    caches = (nn._library, nn.adam_kernel, metrics.batch_error_kernel)
+    caches = (nn._library, nn._dgemm, *(getattr(module, getter) for module, getter in KERNEL_GETTERS))
     for cached in caches:
         cached.cache_clear()
     yield

@@ -11,17 +11,21 @@ import pytest
 from aecomm import comm, metrics, nn, train
 
 KERNEL_FORMS = ("kernel", "numpy")
+# the cached function that loads each compiled loop
+KERNEL_GETTERS = ((nn, "adam_kernel"), (nn, "dense_forward_kernel"), (nn, "dense_backward_kernel"),
+                  (comm, "scatter_add_kernel"), (metrics, "batch_error_kernel"))
 
 
 @contextlib.contextmanager
 def kernel_form(form: str):
     """Each compiled loop runs `form` inside: "numpy", the fallbacks, or "kernel", what
-    nn.adam_kernel and metrics.batch_error_kernel load (the fallbacks where nothing loads;
-    the test_kernel_loads tests say whether something does). An Adam keeps the form it is built in."""
+    nn.adam_kernel, nn.dense_forward_kernel, nn.dense_backward_kernel, comm.scatter_add_kernel
+    and metrics.batch_error_kernel load (the fallbacks where nothing loads; the test_kernel_loads
+    tests say whether something does). An Adam keeps the form it is built in."""
     with pytest.MonkeyPatch.context() as mp:
         if form == "numpy":
-            mp.setattr(nn, "adam_kernel", lambda: None)
-            mp.setattr(metrics, "batch_error_kernel", lambda: None)
+            for module, getter in KERNEL_GETTERS:
+                mp.setattr(module, getter, lambda: None)
         yield
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from aecomm import cli, metrics, train
+from aecomm import cli, metrics, nn, train
 from helpers import KERNEL_FORMS, kernel_form, load_constellation_csv
 
 
@@ -316,7 +316,8 @@ class TestBlasPin:
         maps = (f"7f0000000000-7f0000001000 r-xp 00000000 08:01 1234       {link}\n"
                 "7f0000002000-7f0000003000 rw-p 00000000 00:00 0 \n"
                 "7f0000004000-7f0000005000 r-xp 00000000 08:01 999        /gone/libopenblas.so (deleted)\n")
-        monkeypatch.setattr(cli, "open", lambda path, *a: io.StringIO(maps) if path == "/proc/self/maps"
+        # nn.blas_function reads the maps for cli and for the dense loops' dgemm
+        monkeypatch.setattr(nn, "open", lambda path, *a: io.StringIO(maps) if path == "/proc/self/maps"
                             else open(path, *a), raising=False)
         get_threads = cli._openblas_function("get_num_threads")
         assert get_threads is not None

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aecomm import cli, comm
-from helpers import gradient_check, load_constellation_csv, softmax
+from helpers import KERNEL_FORMS, gradient_check, kernel_form, load_constellation_csv, softmax
 
 
 def random_matrix(seed, rows=6, cols=2, scale=1.0):
@@ -156,15 +156,17 @@ class TestGatherBackward:
         expected = np.zeros((n_rows, cols))
         for r, j in enumerate(idx):  # repeated indices summed in row order, onto +0.0
             expected[j] += d[r]
-        out = flat = None
-        if prefill == "nan":
-            out, flat = np.full(expected.shape, np.nan), np.full(d.shape, -1, np.intp)
-        elif prefill == "garbage":
-            out = np.frombuffer(rng.bytes(8 * expected.size), np.float64).reshape(expected.shape).copy()
-            flat = rng.integers(np.iinfo(np.intp).min, np.iinfo(np.intp).max, size=d.shape, dtype=np.intp)
-        got = comm.gather_backward(d, idx, n_rows, out=out, flat=flat)
-        assert out is None or got is out
-        assert got.tobytes() == expected.tobytes()  # tells -0.0 from +0.0
+        garbage = rng.bytes(8 * expected.size)
+        for form in KERNEL_FORMS:  # the kernel form takes intp indices only
+            out = None
+            if prefill == "nan":
+                out = np.full(expected.shape, np.nan)
+            elif prefill == "garbage":
+                out = np.frombuffer(garbage, np.float64).reshape(expected.shape).copy()
+            with kernel_form(form):
+                got = comm.gather_backward(d, idx, n_rows, out=out)
+            assert out is None or got is out
+            assert got.tobytes() == expected.tobytes(), form  # tells -0.0 from +0.0
 
     @settings(max_examples=50, deadline=None)
     @given(n_rows=st.integers(1, 50), n_batch=st.integers(1, 64), cols=st.integers(1, 5),

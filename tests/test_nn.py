@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import shutil
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aecomm import cli, metrics, nn, train
+from aecomm import cli, comm, metrics, nn, train
 from helpers import KERNEL_FORMS, configured_cc, gradient_check, kernel_form, norm_errors_vectorized, softmax
 
 
@@ -534,7 +535,10 @@ class TestAdam:
         if break_it == "source":
             assert batch_lines == []
         else:
-            assert batch_lines == [f"note: no compiled batch-error kernel ({reason}); norm-error runs as numpy ufuncs"]
+            # the batch errors loaded above, then the one-layer forward pass of normalization_error
+            assert batch_lines == [
+                f"note: no compiled batch-error kernel ({reason}); norm-error runs as numpy ufuncs",
+                f"note: no compiled dense forward kernel ({reason}); the forward pass runs as numpy ufuncs"]
         assert list(tmp_path.iterdir()) == []
 
 
@@ -563,6 +567,99 @@ class TestKernelLibrary:
         assert cli.main(["norm-error", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert len(builds) == 1
         assert nn.adam_kernel() is not None and metrics.batch_error_kernel() is not None
+
+
+def ilp64_openblas() -> bool:
+    """Whether numpy reports an OpenBLAS built with 64-bit integers, whose dgemm the dense loops call."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a numpy older than 1.25
+        return False
+    return "openblas" in str(blas.get("name")).lower() and "USE64BITINT" in str(blas.get("openblas configuration"))
+
+
+class TestDenseKernels:
+    def test_kernels_load(self):
+        # the scatter-add and dense loops must load wherever their compiler, and for the dense
+        # loops numpy's 64-bit-integer OpenBLAS, exist: a host that has them cannot pass the
+        # cross-form tests on the numpy form alone
+        if shutil.which(configured_cc()) is None:
+            pytest.skip(f"the configured C compiler {configured_cc()!r} is not on PATH")
+        assert comm.scatter_add_kernel() is not None
+        if not ilp64_openblas():
+            pytest.skip("numpy's BLAS is not an OpenBLAS built with 64-bit integers")
+        assert nn.dense_forward_kernel() is not None and nn.dense_backward_kernel() is not None
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 9), min_size=2, max_size=4), n_rows=st.integers(1, 20),
+           index_input=st.booleans(), special=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_passes_equal_across_forms(self, sizes, n_rows, index_input, special, seed):
+        # widths of 1 or one row take the numpy form in both, where numpy calls no gemm;
+        # special: nan, inf and signed zeros in the input, the biases and the upstream gradient,
+        # compared by nn.bits: where two unequal nans meet, either may come out
+        rng = np.random.default_rng(seed)
+        mlp = nn.build_mlp(sizes, rng)
+        for W, b in zip(mlp.weights, mlp.biases):
+            W *= 10.0 ** rng.integers(-3, 3, size=W.shape)
+            b[:] = rng.normal(size=b.shape)
+        X = rng.integers(0, sizes[0], size=n_rows) if index_input else rng.normal(size=(n_rows, sizes[0]))
+        dY = rng.normal(size=(n_rows, sizes[-1]))
+        if special:
+            values = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+            for a in (*mlp.biases, dY) + (() if index_input else (X,)):
+                a.flat[rng.integers(0, a.size, size=2)] = rng.choice(values, size=2)
+        got = []
+        for form in KERNEL_FORMS:
+            ws = {}
+            with kernel_form(form), np.errstate(all="ignore"):
+                Y, cache = nn.mlp_forward(X, mlp, ws=ws)
+                dX, grads = nn.mlp_backward(dY, cache, mlp, ws=ws)
+            got.append([nn.bits(a) for a in (Y, *(Z for _, Z in cache), *grads) + (() if dX is None else (dX,))])
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("architecture", train.ARCHITECTURES)
+    @pytest.mark.parametrize("batch_size", [1, 2, 16, 256])
+    def test_train_run_equal_across_forms(self, monkeypatch, architecture, batch_size):
+        # hidden widths of 1 and Bs=1 take the numpy form inside the kernel form too
+        made = []
+
+        class Recording(nn.Adam):
+            def __post_init__(self):
+                super().__post_init__()
+                made.append(self)
+
+        monkeypatch.setattr(nn, "Adam", Recording)
+        runs = []
+        for form in KERNEL_FORMS:
+            for tx_hidden, rx_hidden in (((12, 7), (9,)), ((5,), (6, 1))):
+                config = train.TrainConfig(M=8, batch_size=batch_size, data_budget=batch_size * 6, tx_hidden=tx_hidden,
+                                           rx_hidden=rx_hidden, architecture=architecture, init_seed=3, data_seed=4)
+                with kernel_form(form):
+                    runs.append(train.train_run(config).loss_curve)
+        states = [[a.tobytes() for a in (opt.p, opt.m, opt.v)] for opt in made]
+        assert runs[:2] == runs[2:]
+        assert states[:2] == states[2:]
+
+    @pytest.mark.parametrize("blas", ["none", "lp64-only"])
+    def test_no_64_bit_integer_dgemm_runs_the_numpy_form(self, fresh_loader, monkeypatch, capsys, blas):
+        # one note line; the scatter-add and Adam loops still load, and the bits do not move.
+        # "lp64-only": a BLAS built with 32-bit integers, whose dgemm takes other arguments, exports
+        # names without the 64_ suffix; asked for one, the stand-in hands back libc's abs
+        config = train.TrainConfig(M=8, batch_size=16, data_budget=16 * 5, tx_hidden=(12, 7), rx_hidden=(9,),
+                                   init_seed=3, data_seed=4)
+        with kernel_form("numpy"):
+            want = train.train_run(config)
+        capsys.readouterr()
+        abs_ = ctypes.CDLL(None).abs
+        monkeypatch.setattr(nn, "blas_function", lambda *names: abs_ if blas == "lp64-only" and any(
+            not name.endswith("64_") for name in names) else None)
+        got = train.train_run(config)
+        assert capsys.readouterr().err.splitlines() == [
+            "note: no 64-bit-integer cblas_dgemm found in the loaded BLAS; dense passes run as numpy ufuncs"]
+        assert nn.dense_forward_kernel() is None and nn.dense_backward_kernel() is None
+        assert got.loss_curve == want.loss_curve
+        assert [a.tobytes() for a in (*got.tx.param_list(), *got.rx.param_list(), got.constellation)] == \
+            [a.tobytes() for a in (*want.tx.param_list(), *want.rx.param_list(), want.constellation)]
 
 
 class TestGradientCheck:

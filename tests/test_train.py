@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aecomm import comm, nn, train
-from helpers import e2e_loss_fn, gradient_check
+from helpers import KERNEL_FORMS, e2e_loss_fn, gradient_check, kernel_form
 
 
 def small_config(**kw):
@@ -432,19 +432,21 @@ class TestWorkspace:
             tracemalloc.stop()
         assert peak - start < 256 * 1024
 
-    @pytest.mark.parametrize("architecture, workspace_kib", [("baseline", 2427), ("proposed", 1900)])
-    def test_step_keeps_only_arrays_read_again(self, architecture, workspace_kib):
-        # paper scale, Bs=256. Per hidden layer the workspace holds one forward
-        # array (the ReLU overwrites its pre-activation), one mask and one
-        # input-gradient or scatter-index buffer (dZ overwrites the upstream
-        # gradient); Adam holds m and v of 46 530 parameters, and one scratch vector
-        # more only where it runs the numpy form
+    @pytest.mark.parametrize("form", KERNEL_FORMS)
+    @pytest.mark.parametrize("architecture, workspace_kib", [("baseline", 2127), ("proposed", 1725)])
+    def test_step_keeps_only_arrays_read_again(self, architecture, workspace_kib, form):
+        # paper scale, Bs=256. Per layer the workspace holds one forward array (a
+        # hidden layer's ReLU overwrites its pre-activation) and, but for an index
+        # input, one input-gradient buffer (dZ overwrites the upstream gradient): the
+        # numpy form's ReLU masks and scatter index are temporaries. Adam holds m and
+        # v of 46 530 parameters, and one scratch vector more only where it runs the numpy form
         config = train.TrainConfig(batch_size=256, architecture=architecture)
         tx, rx = train.init_model(config)
-        opt = nn.Adam(*nn.pack_params(tx, rx), lr=config.lr)
-        ws = {}
-        train.train_step(tx, rx, opt, np.random.default_rng(1).integers(0, config.M, size=256),
-                         comm.awgn_noise((256, 2), config.sigma2, np.random.default_rng(2)), config, ws=ws)
+        with kernel_form(form):
+            opt = nn.Adam(*nn.pack_params(tx, rx), lr=config.lr)
+            ws = {}
+            train.train_step(tx, rx, opt, np.random.default_rng(1).integers(0, config.M, size=256),
+                             comm.awgn_noise((256, 2), config.sigma2, np.random.default_rng(2)), config, ws=ws)
 
         def kib(holder):  # the distinct base arrays that `holder` reaches
             bases, todo = {}, [holder]
