@@ -16,10 +16,12 @@ void adam_step(double *restrict p, const double *restrict g, double *restrict m,
 
 /* (power, norm) table rows at n indices ix, summed per column into *q and *r in the order of
    numpy's pairwise sum: one by one from -0.0 below 8 terms, in 8 accumulators up to 128, and
-   above that as two halves split at n / 2 rounded down to a multiple of 8 */
+   above that as two halves split at n / 2 rounded down to a multiple of 8. Neither this nor
+   PAIRWISE below is inlined: with their recursion inlined, GCC 12 peaks at 45 MB building this
+   file at -O3, without at 42 MB, and a process that builds it counts that in its own peak RSS. */
 #define PAIRWISE_SUM(T)                                                                          \
-    static void pairwise_##T(const double (*t)[2], const T *ix, ptrdiff_t n, double *q,         \
-                             double *r) {                                                        \
+    static __attribute__((noinline)) void pairwise_##T(const double (*t)[2], const T *ix,       \
+                                                       ptrdiff_t n, double *q, double *r) {      \
         if (n < 8) {                                                                             \
             double a = -0.0, b = -0.0;                                                           \
             for (ptrdiff_t i = 0; i < n; i++) {                                                  \
@@ -143,11 +145,131 @@ void dense_backward(dgemm_t *gemm, const int64_t (*layer)[7], ptrdiff_t n_layers
 }
 
 /* comm.gather_backward: out (n_out x cols) = +0.0, then out[ix[i]] += d[i] in row order */
-void scatter_add(const double *d, const int64_t *ix, ptrdiff_t rows, ptrdiff_t cols, double *out,
+void scatter_add(const double *d, const ptrdiff_t *ix, ptrdiff_t rows, ptrdiff_t cols, double *out,
                  ptrdiff_t n_out) {
     for (ptrdiff_t i = 0; i < n_out * cols; i++)
         out[i] = 0.0;
     for (ptrdiff_t i = 0; i < rows; i++)
         for (ptrdiff_t j = 0; j < cols; j++)
             out[ix[i] * cols + j] += d[i * cols + j];
+}
+
+/* comm.gather: 0 if an index is outside [0, n_rows), writing nothing; else out[i] = X[ix[i]] */
+int gather_rows(const double *X, ptrdiff_t n_rows, ptrdiff_t cols, const ptrdiff_t *ix, ptrdiff_t n,
+                double *out) {
+    for (ptrdiff_t i = 0; i < n; i++)
+        if (ix[i] < 0 || ix[i] >= n_rows)
+            return 0;
+    for (ptrdiff_t i = 0; i < n; i++)
+        for (ptrdiff_t j = 0; j < cols; j++)
+            out[i * cols + j] = X[ix[i] * cols + j];
+    return 1;
+}
+
+/* The n terms TERM(i) summed in the order of numpy's pairwise sum, as PAIRWISE_SUM above; a whole
+   add.reduce is +0.0 plus this */
+#define PAIRWISE(NAME, TERM)                                                                     \
+    static __attribute__((noinline)) double NAME(const double *a, const double *b, ptrdiff_t n) {\
+        if (n < 8) {                                                                             \
+            double s = -0.0;                                                                     \
+            for (ptrdiff_t i = 0; i < n; i++)                                                    \
+                s += TERM(i);                                                                    \
+            return s;                                                                            \
+        }                                                                                        \
+        if (n <= 128) {                                                                          \
+            double r[8];                                                                         \
+            for (int k = 0; k < 8; k++)                                                          \
+                r[k] = TERM(k);                                                                  \
+            ptrdiff_t i = 8;                                                                     \
+            for (; i < n - n % 8; i += 8)                                                        \
+                for (int k = 0; k < 8; k++)                                                      \
+                    r[k] += TERM(i + k);                                                         \
+            double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));        \
+            for (; i < n; i++)                                                                   \
+                s += TERM(i);                                                                    \
+            return s;                                                                            \
+        }                                                                                        \
+        ptrdiff_t h = n / 2 - n / 2 % 8;                                                         \
+        return NAME(a, b, h) + NAME(a + h, b + h, n - h);                                        \
+    }
+#define ELEMENT(i) a[i]
+#define PRODUCT(i) (a[i] * b[i])
+PAIRWISE(sum_pw, ELEMENT)
+PAIRWISE(dot_pw, PRODUCT)
+
+/* comm.normalize_average over the n doubles of X: q = add.reduce(X * X); -1.0 for q == 0, writing
+   nothing; else s = sqrt(num / q), or nan where q is not below inf, and out = s * X */
+double normalize_average(const double *X, ptrdiff_t n, double num, double *out) {
+    double q = 0.0 + dot_pw(X, X, n);
+    if (q == 0.0)
+        return -1.0;
+    double s = q < INFINITY ? sqrt(num / q) : NAN;
+    for (ptrdiff_t i = 0; i < n; i++)
+        out[i] = s * X[i];
+    return s;
+}
+
+/* comm.normalize_average_backward over the n doubles of dXp and X: 0 for q == 0, writing nothing
+   (the numpy form raises); else out = s * (dXp - X * (add.reduce(dXp * X) / q)) */
+int normalize_average_backward(const double *dXp, const double *X, ptrdiff_t n, double s,
+                               double *out) {
+    double q = 0.0 + dot_pw(X, X, n);
+    if (q == 0.0)
+        return 0;
+    double c = (0.0 + dot_pw(dXp, X, n)) / q;
+    for (ptrdiff_t i = 0; i < n; i++)
+        out[i] = s * (dXp[i] - X[i] * c);
+    return 1;
+}
+
+/* nn.softmax_cross_entropy's first pass over n rows of m logits x: 0 if a label is outside
+   [0, m), writing nothing; else e = x - top per row, top being its max, and picked[i] =
+   e[i, label[i]]. top equals np.maximum.reduce's but for the sign of a zero max and in a row
+   holding a nan, which no output shows: a row whose max is both 0.0 and -0.0 has z >= 2, and a nan
+   reaches z through exp, and from z every output of its row. */
+int xent_shift(const double *restrict x, const ptrdiff_t *restrict label, ptrdiff_t n, ptrdiff_t m,
+               double *restrict e, double *restrict picked) {
+    for (ptrdiff_t i = 0; i < n; i++)
+        if (label[i] < 0 || label[i] >= m)
+            return 0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const double *row = x + i * m;
+        double top[8];
+        ptrdiff_t j = 0;
+        for (int k = 0; k < 8; k++)
+            top[k] = row[0];
+        for (; j + 8 <= m; j += 8) /* 8 independent maxima, which the compiler vectorizes */
+            for (int k = 0; k < 8; k++)
+                top[k] = row[j + k] > top[k] ? row[j + k] : top[k];
+        for (; j < m; j++)
+            top[0] = row[j] > top[0] ? row[j] : top[0];
+        for (int k = 1; k < 8; k++)
+            top[0] = top[k] > top[0] ? top[k] : top[0];
+        for (j = 0; j < m; j++)
+            e[i * m + j] = row[j] - top[0];
+        picked[i] = e[i * m + label[i]];
+    }
+    return 1;
+}
+
+/* its second pass, after np.exp(e): z[i] = add.reduce(e[i]) */
+void xent_row_sums(const double *e, ptrdiff_t n, ptrdiff_t m, double *z) {
+    for (ptrdiff_t i = 0; i < n; i++)
+        z[i] = 0.0 + sum_pw(e + i * m, e + i * m, m);
+}
+
+/* its third, after log_z = np.log(z): the loss -(add.reduce(picked - log_z) / n), through picked,
+   and the gradient e = (e / z - (j == label)) / n */
+double xent_finish(double *e, const ptrdiff_t *label, ptrdiff_t n, ptrdiff_t m, double *picked,
+                   const double *log_z, const double *z) {
+    for (ptrdiff_t i = 0; i < n; i++)
+        picked[i] -= log_z[i];
+    double loss = -((0.0 + sum_pw(picked, picked, n)) / (double)n);
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double *row = e + i * m, zi = z[i], dn = (double)n, at_label = row[label[i]] / zi - 1.0;
+        for (ptrdiff_t j = 0; j < m; j++)
+            row[j] = row[j] / zi / dn;
+        row[label[i]] = at_label / dn;
+    }
+    return loss;
 }

@@ -157,8 +157,8 @@ def _batch_errors_self_check(kernel) -> bool:
 def batch_error_kernel():
     """_batch_errors' C loop from nn's compiled kernels.c, or None where it does not compile, load, or
     equal _batch_errors_numpy bit for bit; norm-error then runs that, and one stderr line says why."""
-    return nn.compiled_kernel("batch_errors", ctypes.c_int, [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int,
-                              ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_double, ctypes.c_void_p],
+    return nn.compiled_kernel({"batch_errors": (ctypes.c_int, [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int,
+                               ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_double, ctypes.c_double, ctypes.c_void_p])},
                               _batch_errors_self_check, "batch-error kernel", "norm-error runs as numpy ufuncs")
 
 

@@ -8,9 +8,12 @@ index input's dtype and range by comm.gather, its row lookup, and a backward pas
 scatter-add is comm.gather_backward, trusts the indices its forward pass checked. pack_params
 moves several MLPs' parameters and gradients into one contiguous vector each, which Adam updates.
 compiled_kernel serves the C loops of kernels.c from one library that the first caller in a process
-compiles: Adam's step, the dense layers of mlp_forward and of mlp_backward, comm's scatter-add and
-metrics' batch errors. The dense loops call the cblas_dgemm that np.matmul calls (numpy's OpenBLAS,
-found by blas_function), where numpy would call it, so every form gives the same bits.
+compiles: Adam's step, the dense layers of mlp_forward and of mlp_backward, the passes of
+softmax_cross_entropy around numpy's own exp and log, comm's gather, scatter-add and normalization
+both ways, and metrics' batch errors: one compiled call per function that a training step enters.
+The dense loops call the cblas_dgemm that np.matmul calls (numpy's OpenBLAS, found by
+blas_function), where numpy would call it, so every form gives the same bits. address() looks up
+the address of each array a loop takes once per array object.
 
 mlp_forward, mlp_backward and softmax_cross_entropy write their per-call
 arrays into a workspace: a plain dict, passed as `ws`, so repeated calls
@@ -31,10 +34,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import itertools
+import math
 import operator
 import os
 import pathlib
 import sys
+import weakref
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -114,14 +119,14 @@ def mlp_forward(X: np.ndarray, mlp: Mlp, *, ws: dict | None = None) -> tuple[np.
         bufs = ws["forward"] = _Arrays(np.empty((n, W.shape[1])) for W in mlp.weights)
     if X.ndim == 2 and X.shape[1] != mlp.in_dim:  # checked before a C loop reads X
         raise ValueError(f"input has {X.shape[1]} columns, the first layer takes {mlp.in_dim}")
-    Zs = [Z if len(Z) == n else Z[:n] for Z in bufs]  # a full-length call reuses the objects, and their plan
+    Zs = bufs if len(bufs[0]) == n else [Z[:n] for Z in bufs]  # a full-length call reuses the objects, and their plan
     if X.ndim == 1:
         comm.gather(mlp.weights[0], X, out=Zs[0])
     cache = list(zip([X, *Zs[:-1]], Zs))
     kernel = dense_forward_kernel()
     plan = None if kernel is None else _plan(bufs, (*mlp.weights, *mlp.biases, *Zs), lambda: _forward_rows(mlp, Zs))
     if plan is not None and plan.table is not None and n >= 2 and (X.ndim == 1 or _readable(X)):
-        kernel(plan.gemm, plan.table, len(Zs), None if X.ndim == 1 else plan.address(0, X), n)
+        kernel(plan.gemm, plan.table, len(Zs), None if X.ndim == 1 else address(X), n)
     else:
         _forward_numpy(cache, mlp)
     return Zs[-1], cache
@@ -158,12 +163,11 @@ def mlp_backward(
         None if A_in.ndim == 1 else np.empty((n, A_in.shape[1])) for A_in, _ in cache))
     kernel = dense_backward_kernel()
     plan = None if kernel is None else _plan(
-        dAs, (*mlp.weights, *grads, *(a for pair in cache[1:] for a in pair), cache[0][1], *dAs),
+        dAs, (*mlp.weights, *grads, *itertools.chain.from_iterable(cache[1:]), cache[0][1], *dAs),
         lambda: _backward_rows(mlp, cache, dAs))
     if (plan is not None and plan.table is not None and n >= 2 and dY.shape == cache[-1][1].shape
             and _readable(dY) and (X.ndim == 1 or (X.shape == (n, mlp.in_dim) and _readable(X)))):
-        kernel(plan.gemm, plan.table, len(cache), None if X.ndim == 1 else plan.address(0, X),
-               plan.address(1, dY), n)
+        kernel(plan.gemm, plan.table, len(cache), None if X.ndim == 1 else address(X), address(dY), n)
     else:
         _backward_numpy(dY, cache, mlp, dAs)
     if X.ndim == 2:
@@ -190,17 +194,43 @@ def _backward_numpy(dY: np.ndarray, cache: list, mlp: Mlp, dAs: list) -> None:
 def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray, *, ws: dict | None = None
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy of row-wise softmax against integer labels, one per logit row.
+    """Mean cross-entropy of row-wise softmax against integer labels: a 1-D integer array, one
+    label per logit row, each in [0, columns).
 
     Returns (loss, dloss/dlogits); the gradient already carries the 1/rows
-    factor and lives in the workspace `ws`.
+    factor and lives in the workspace `ws`. Its passes run as three C loops around numpy's own
+    np.exp and np.log (cross_entropy_kernel) where the loops load and may take the arrays as raw
+    memory: intp labels and aligned, writeable, C-contiguous float64 logits of at least one row.
+    Else they run as _cross_entropy_numpy, with the same bits.
     """
     labels = np.asarray(labels)
     n, m = logits.shape
+    if labels.dtype.kind not in "iu" or labels.shape != (n,):
+        raise ValueError(f"labels must be a 1-D integer array of one label per logit row ({n}),"
+                         f" not {labels.dtype} of shape {labels.shape}")
+    # one buffer holds the shifted logits, then their exponentials, then the gradient; per row
+    # the sum z of the exponentials, log z and the label's shifted logit
+    e, z, log_z, picked = _buffers(ws, ("softmax", n, m), lambda: (np.empty((n, m)), *np.empty((3, n))))
+    kernel = cross_entropy_kernel()
+    if kernel is None or n == 0 or labels.dtype != np.intp or not labels.flags.c_contiguous or not _readable(logits):
+        return _cross_entropy_numpy(logits, labels, e), e
+    shift, row_sums, finish = kernel
+    a_e, a_labels, a_picked, a_z = address(e), address(labels), address(picked), address(z)
+    if not shift(address(logits), a_labels, n, m, a_e, a_picked):
+        raise ValueError("label out of range")
+    np.exp(e, out=e)
+    row_sums(a_e, n, m, a_z)
+    np.log(z, out=log_z)
+    return finish(a_e, a_labels, n, m, a_picked, address(log_z), a_z), e
+
+
+def _cross_entropy_numpy(logits: np.ndarray, labels: np.ndarray, e: np.ndarray) -> float:
+    """softmax_cross_entropy's loss, its gradient written into e, as numpy ufuncs: the fallback
+    where no kernel loads, and the reference the kernel must equal bit for bit."""
+    n, m = logits.shape
     if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= m:
         raise ValueError("label out of range")
-    # one buffer holds the shifted logits, then their exponentials, then the gradient
-    e, rows = _buffers(ws, ("softmax", n, m), lambda: (np.empty((n, m)), np.arange(n)))
+    rows = np.arange(n)
     np.subtract(logits, np.maximum.reduce(logits, axis=1, keepdims=True), out=e)
     picked = e[rows, labels]
     np.exp(e, out=e)
@@ -210,7 +240,54 @@ def softmax_cross_entropy(
     e /= z  # softmax(logits)
     e[rows, labels] -= 1.0
     e /= n
-    return loss, e
+    return loss
+
+
+def _cross_entropy_self_check(kernel) -> bool:
+    """Whether `kernel`'s three passes give _cross_entropy_numpy's loss and gradient (nn.bits),
+    and refuse labels outside the columns, writing nothing.
+
+    Row widths 1-9, 127-129 and 256-300 and row counts 1-9, 127-129, 256 and 300 run every branch
+    of numpy's pairwise sums, the row sums' and the loss sum's. Each row's logits have a scale of
+    its own, from 1e-3, where every exponential counts in z, to 1e2; rows hold maxima of 0.0, of
+    -0.0 and of both, +-inf and nan, first and later in the row, and the labels include 0 and the
+    last column.
+    """
+    shift, row_sums, finish = kernel
+    rng = np.random.default_rng(0)
+    shapes = [(5, m) for m in (*range(1, 10), 127, 128, 129, 256, 300)] + [
+        (n, 3) for n in (*range(1, 10), 127, 128, 129, 256, 300)]
+    for k, (n, m) in enumerate(shapes):
+        logits = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 3, size=(n, 1))
+        labels = rng.integers(0, m, size=n)
+        labels[[0, -1]] = [0, m - 1]
+        if k % 2:
+            rows = rng.integers(0, n, size=6)
+            logits[rows[0]] = -np.abs(logits[rows[0]]) - 1e3
+            logits[rows[0], labels[rows[0]]] = -0.0
+            logits[rows[1]] = -np.abs(logits[rows[1]])
+            logits[rows[1], rng.integers(0, m, size=2)] = [0.0, -0.0]
+            logits[rows[2], -1] = np.nan
+            logits[rows[3], 0] = np.nan
+            logits[rows[4], rng.integers(0, m)] = np.inf
+            logits[rows[5], rng.integers(0, m, size=2)] = -np.inf
+        e, got = np.empty((2, n, m)), np.empty((3, n))  # got: the picked entries, z and log z
+        with np.errstate(all="ignore"):
+            want = _cross_entropy_numpy(logits, labels, e[0])
+            if not shift(logits.ctypes.data, labels.ctypes.data, n, m, e[1].ctypes.data, got[0].ctypes.data):
+                return False
+            np.exp(e[1], out=e[1])
+            row_sums(e[1].ctypes.data, n, m, got[1].ctypes.data)
+            np.log(got[1], out=got[2])
+            loss = finish(e[1].ctypes.data, labels.ctypes.data, n, m, got[0].ctypes.data, got[2].ctypes.data,
+                          got[1].ctypes.data)
+        if bits(np.array([loss])) != bits(np.array([want])) or bits(e[0]) != bits(e[1]):
+            return False
+    for label in (-1, 3):  # outside the 3 columns of one row
+        x, lab, e = np.zeros((1, 3)), np.array([label], dtype=np.intp), np.full((1, 3), np.pi)
+        if shift(x.ctypes.data, lab.ctypes.data, 1, 3, e.ctypes.data, got.ctypes.data) or not (e == np.pi).all():
+            return False
+    return True
 
 
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
@@ -224,7 +301,7 @@ _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno", "-
 
 def _adam_scalars(lr: float, t: int) -> tuple[float, float]:
     """(lr_t, eps_t) of step t: lr_t = lr * root_b2t / (1 - b1**t), eps_t = eps * root_b2t."""
-    root_b2t = np.sqrt(1.0 - BETA2 ** t)
+    root_b2t = math.sqrt(1.0 - BETA2 ** t)
     return lr * root_b2t / (1.0 - BETA1 ** t), EPSILON * root_b2t
 
 
@@ -292,17 +369,21 @@ def _library() -> tuple[ctypes.CDLL | None, str]:
         return None, f"{cc[0]}: {errors[0] if errors else exc}"
 
 
-def compiled_kernel(name: str, restype, argtypes: list, self_check, what: str, fallback: str):
-    """Function `name` of the compiled kernels.c, if self_check(it) holds; else None, after one
-    stderr line saying why no `what` loaded and that the program runs `fallback`."""
+def compiled_kernel(functions: dict, self_check, what: str, fallback: str):
+    """The functions of the compiled kernels.c that `functions` names, each typed by the (restype,
+    argtypes) it maps to, if self_check(them) holds: the one function, or a tuple of several in
+    order. Else None, after one stderr line saying why no `what` loaded and that the program runs
+    `fallback`."""
     lib, reason = _library()
     if lib is not None:
         try:
-            kernel = getattr(lib, name)
+            kernel = tuple(getattr(lib, name) for name in functions)
         except AttributeError as exc:
             reason = str(exc)
         else:
-            kernel.restype, kernel.argtypes = restype, argtypes
+            for function, (restype, argtypes) in zip(kernel, functions.values()):
+                function.restype, function.argtypes = restype, argtypes
+            kernel = kernel[0] if len(kernel) == 1 else kernel
             if self_check(kernel):
                 return kernel
             reason = "its results differ from numpy's"
@@ -314,7 +395,7 @@ def compiled_kernel(name: str, restype, argtypes: list, self_check, what: str, f
 def adam_kernel():
     """Adam's C loop from the compiled kernels.c, or None where it does not compile, load, or
     equal _adam_numpy bit for bit; Adam then runs _adam_numpy, and one stderr line says why."""
-    return compiled_kernel("adam_step", None, [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 6,
+    return compiled_kernel({"adam_step": (None, [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] + [ctypes.c_double] * 6)},
                            _adam_self_check, "Adam kernel", "Adam runs as numpy ufuncs")
 
 
@@ -353,6 +434,20 @@ def _dgemm() -> int | None:
     return ctypes.cast(dgemm, ctypes.c_void_p).value
 
 
+_ADDRESSES: dict[int, tuple] = {}  # id of an array -> (a weak reference to it, the address of its data)
+
+
+def address(a: np.ndarray) -> int:
+    """The address of a's data, looked up (~1.5 us) once per array object and kept while the object
+    lives (a repeat costs ~0.1 us): an array keeps its data where it is for life, unless
+    ndarray.resize moves it, which nothing here calls."""
+    held = _ADDRESSES.get(id(a))
+    if held is None or held[0]() is not a:
+        key = id(a)
+        held = _ADDRESSES[key] = (weakref.ref(a, lambda _, key=key: _ADDRESSES.pop(key, None)), a.ctypes.data)
+    return held[1]
+
+
 def _readable(a: np.ndarray) -> bool:
     """Whether a C loop may take a as raw memory: aligned, writeable, C-contiguous float64."""
     return a.dtype == np.float64 and a.flags.carray
@@ -387,23 +482,14 @@ def _backward_rows(mlp: Mlp, cache: list, dAs: list) -> list | None:
 
 class _Plan:
     """A dense loop's table, one row of widths and addresses per layer (None where the loop cannot
-    serve the arrays), with the arrays whose addresses it holds. It also keeps the array that each
-    of two per-call arguments got last, and its address, looked up again only for another array:
-    a lookup costs ~2 us."""
+    serve the arrays), with the arrays whose addresses it holds."""
 
-    __slots__ = ("arrays", "gemm", "table", "_rows", "_held")
+    __slots__ = ("arrays", "gemm", "table", "_rows")
 
     def __init__(self, arrays: tuple, rows: list | None):
-        self.arrays, self.gemm, self._held = arrays, _dgemm(), [(None, 0), (None, 0)]
+        self.arrays, self.gemm = arrays, _dgemm()
         self._rows = None if rows is None else (ctypes.c_int64 * (len(rows) * len(rows[0])))(*itertools.chain(*rows))
         self.table = None if rows is None else ctypes.addressof(self._rows)
-
-    def address(self, slot: int, a: np.ndarray) -> int:
-        held, address = self._held[slot]
-        if held is not a:
-            address = a.ctypes.data
-            self._held[slot] = (a, address)
-        return address
 
 
 class _Arrays(list):
@@ -508,7 +594,7 @@ def dense_forward_kernel():
     one stderr line says why."""
     if _dgemm() is None:
         return None
-    return compiled_kernel("dense_forward", None, _DENSE_ARGS + [ctypes.c_ssize_t], _dense_forward_self_check,
+    return compiled_kernel({"dense_forward": (None, _DENSE_ARGS + [ctypes.c_ssize_t])}, _dense_forward_self_check,
                            "dense forward kernel", "the forward pass runs as numpy ufuncs")
 
 
@@ -519,8 +605,19 @@ def dense_backward_kernel():
     and one stderr line says why."""
     if _dgemm() is None:
         return None
-    return compiled_kernel("dense_backward", None, _DENSE_ARGS + [ctypes.c_void_p, ctypes.c_ssize_t],
+    return compiled_kernel({"dense_backward": (None, _DENSE_ARGS + [ctypes.c_void_p, ctypes.c_ssize_t])},
                            _dense_backward_self_check, "dense backward kernel", "the backward pass runs as numpy ufuncs")
+
+
+@functools.cache
+def cross_entropy_kernel():
+    """softmax_cross_entropy's three C passes from the compiled kernels.c, or None where they do not
+    compile, load, or equal _cross_entropy_numpy bit for bit; the cross-entropy then runs that, and
+    one stderr line says why."""
+    V, N = ctypes.c_void_p, ctypes.c_ssize_t
+    return compiled_kernel({"xent_shift": (ctypes.c_int, [V, V, N, N, V, V]), "xent_row_sums": (None, [V, N, N, V]),
+                            "xent_finish": (ctypes.c_double, [V, V, N, N, V, V, V])},
+                           _cross_entropy_self_check, "cross-entropy kernel", "the cross-entropy runs as numpy ufuncs")
 
 
 def _check_vector(a: np.ndarray, shape: tuple) -> None:

@@ -113,23 +113,27 @@ def loss_and_grads(
     "baseline" normalizes the batch's transmitter outputs and returns those
     sent symbols. "proposed" normalizes all M outputs, gathers the batch rows,
     and returns the whole constellation.
-    The arrays live in the workspace `ws`: per batch size, the alphabet's
-    indices, the received symbols and one sub-workspace per network (see nn).
+    The arrays live in the workspace `ws`, the returned symbols too: per batch size and
+    architecture, the alphabet's indices, the normalized transmitter outputs, the received
+    symbols, one sub-workspace per network (see nn) and, for "proposed", the sent symbols and the
+    scatter-add of their gradient, which its normalization's gradient overwrites.
     """
     if architecture not in ARCHITECTURES:
         raise ValueError(f"architecture must be one of {ARCHITECTURES}")
-    alphabet, received, tx_ws, rx_ws = nn._buffers(
-        ws, len(batch), lambda: (np.arange(tx.in_dim), np.empty((len(batch), 2)), {}, {}))
     baseline = architecture == "baseline"
+    n, rows = len(batch), len(batch) if baseline else tx.in_dim  # rows: the transmitter's outputs
+    alphabet, symbols, received, tx_ws, rx_ws, sent, dsymbols = nn._buffers(ws, (n, architecture), lambda: (
+        np.arange(tx.in_dim), np.empty((rows, 2)), np.empty((n, 2)), {}, {},
+        *((None, None) if baseline else (np.empty((n, 2)), np.empty((rows, 2))))))
     raw, tx_cache = nn.mlp_forward(batch if baseline else alphabet, tx, ws=tx_ws)
-    symbols, s = comm.normalize_average(raw, power)
-    sent = symbols if baseline else comm.gather(symbols, batch)
+    symbols, s = comm.normalize_average(raw, power, out=symbols)
+    sent = symbols if baseline else comm.gather(symbols, batch, out=sent)
     logits, rx_cache = nn.mlp_forward(np.add(sent, noise, out=received), rx, ws=rx_ws)
     loss, dlogits = nn.softmax_cross_entropy(logits, batch, ws=ws)
 
     dsent, _ = nn.mlp_backward(dlogits, rx_cache, rx, ws=rx_ws)
-    dsymbols = dsent if baseline else comm.gather_backward(dsent, batch, len(symbols))
-    draw = comm.normalize_average_backward(dsymbols, raw, s)
+    dsymbols = dsent if baseline else comm.gather_backward(dsent, batch, rows, out=dsymbols)
+    draw = comm.normalize_average_backward(dsymbols, raw, s, out=dsymbols)  # read whole before written
     nn.mlp_backward(draw, tx_cache, tx, ws=tx_ws)
     return loss, symbols
 

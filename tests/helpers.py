@@ -13,15 +13,15 @@ from aecomm import comm, metrics, nn, train
 KERNEL_FORMS = ("kernel", "numpy")
 # the cached function that loads each compiled loop
 KERNEL_GETTERS = ((nn, "adam_kernel"), (nn, "dense_forward_kernel"), (nn, "dense_backward_kernel"),
-                  (comm, "scatter_add_kernel"), (metrics, "batch_error_kernel"))
+                  (nn, "cross_entropy_kernel"), (comm, "scatter_add_kernel"), (comm, "gather_kernel"),
+                  (comm, "normalize_kernels"), (metrics, "batch_error_kernel"))
 
 
 @contextlib.contextmanager
 def kernel_form(form: str):
-    """Each compiled loop runs `form` inside: "numpy", the fallbacks, or "kernel", what
-    nn.adam_kernel, nn.dense_forward_kernel, nn.dense_backward_kernel, comm.scatter_add_kernel
-    and metrics.batch_error_kernel load (the fallbacks where nothing loads; the test_kernel_loads
-    tests say whether something does). An Adam keeps the form it is built in."""
+    """Each compiled loop runs `form` inside: "numpy", the fallbacks, or "kernel", what the getters
+    of KERNEL_GETTERS load (the fallbacks where nothing loads; the test_kernel_loads tests say
+    whether something does). An Adam keeps the form it is built in."""
     with pytest.MonkeyPatch.context() as mp:
         if form == "numpy":
             for module, getter in KERNEL_GETTERS:

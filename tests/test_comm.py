@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aecomm import cli, comm
+from aecomm import cli, comm, nn
 from helpers import KERNEL_FORMS, gradient_check, kernel_form, load_constellation_csv, softmax
 
 
@@ -75,6 +75,53 @@ class TestNormalizeAverage:
         assert np.isnan(out).all()
 
 
+class TestNormalizationForms:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.sampled_from([*range(1, 10), 63, 64, 65, 127, 128, 129, 256, 300, 5000]),
+           special=st.booleans(), out=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equal_across_forms(self, rows, special, out, seed):
+        # the power sum and the inner product in numpy's pairwise order over the flattened
+        # products; special: signed zeros and a subnormal in X, nan and +-inf in the upstream gradient
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(rows, 2)) * 10.0 ** rng.integers(-6, 7, size=(rows, 2))
+        dXp = rng.normal(size=(rows, 2))
+        if special:
+            X.flat[rng.integers(0, X.size, size=3)] = [0.0, -0.0, 5e-324]
+            dXp.flat[rng.integers(0, X.size, size=3)] = [np.nan, np.inf, -np.inf]
+        got = []
+        for form in KERNEL_FORMS:
+            with kernel_form(form), np.errstate(all="ignore"):
+                try:
+                    Xp, s = comm.normalize_average(X, 1.7, out=np.empty_like(X) if out else None)
+                except comm.DegenerateInputError:  # the specials zeroed every entry
+                    got.append("all zero")
+                    continue
+                dX = comm.normalize_average_backward(dXp, X, s, out=np.empty_like(X) if out else None)
+            got.append((s, Xp.tobytes(), nn.bits(dX)))
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("form", KERNEL_FORMS)
+    def test_zero_and_overflowing_inputs(self, form):
+        # an all-zero X has no scale and no gradient; one whose power sum overflows has s = nan
+        with kernel_form(form):
+            with pytest.raises(comm.DegenerateInputError):
+                comm.normalize_average(np.zeros((3, 2)), 1.0, out=np.empty((3, 2)))
+            with pytest.raises(ZeroDivisionError):
+                comm.normalize_average_backward(np.ones((3, 2)), np.zeros((3, 2)), 1.0)
+            X = np.array([[1e200, 0.0], [0.0, -1e200], [1.0, 2.0]])
+            with np.errstate(over="ignore", invalid="ignore"):
+                out, s = comm.normalize_average(X, 1.0)
+                dX = comm.normalize_average_backward(np.ones_like(X), X, s)
+        assert np.isnan(s) and np.isnan(out).all() and np.isnan(dX).all()
+
+    def test_in_place_backward(self):
+        # the step writes the gradient over the upstream gradient it reads
+        X, dXp = random_matrix(20, rows=9), random_matrix(21, rows=9)
+        want = comm.normalize_average_backward(dXp, X, 0.8)
+        assert comm.normalize_average_backward(dXp, X, 0.8, out=dXp) is dXp
+        assert dXp.tobytes() == want.tobytes()
+
+
 class TestNormalizeAverageBackward:
     def test_zero_upstream(self):
         X = random_matrix(2)
@@ -133,6 +180,37 @@ class TestGather:
         out = np.full((4, 2), np.nan)
         assert comm.gather(X, idx, out=out) is out
         assert np.array_equal(out, X[[3, 0, 3, 9]])
+
+
+class TestGatherForms:
+    @settings(max_examples=100, deadline=None)
+    @given(n_rows=st.integers(1, 40), n=st.integers(0, 50), cols=st.sampled_from([1, 2, 100]),
+           dtype=st.sampled_from([np.intp, np.int32, np.uint8]), out=st.booleans(), bad=st.sampled_from([None, -1, 0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equal_across_forms(self, n_rows, n, cols, dtype, out, bad, seed):
+        # intp indices take the kernel, other integer types the numpy form; an index of -1 or
+        # n_rows raises in both, and leaves out as it was
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n_rows, cols))
+        X[rng.random(X.shape) < 0.2] = -0.0
+        idx = rng.integers(0, n_rows, size=n)
+        if bad is not None and n and dtype != np.uint8:
+            idx[rng.integers(0, n)] = bad if bad < 0 else n_rows
+        idx = idx.astype(dtype)
+        in_range = bool(n == 0 or (0 <= idx.min() and idx.max() < n_rows))
+        got = []
+        for form in KERNEL_FORMS:
+            buffer = np.full((n, cols), np.pi) if out else None
+            with kernel_form(form):
+                if in_range:
+                    result = comm.gather(X, idx, out=buffer)
+                    assert buffer is None or result is buffer
+                    got.append(result.tobytes())
+                else:
+                    with pytest.raises(ValueError, match="out of range"):
+                        comm.gather(X, idx, out=buffer)
+                    assert buffer is None or (buffer == np.pi).all()
+        assert not in_range or got == [X[idx.astype(np.intp)].tobytes()] * 2
 
 
 class TestGatherBackward:

@@ -303,6 +303,20 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError):
             nn.softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
+    @pytest.mark.parametrize("form", KERNEL_FORMS)
+    @pytest.mark.parametrize("labels", [[0, 3], [-1, 0]])
+    def test_out_of_range_label_in_both_forms(self, form, labels):
+        with kernel_form(form), pytest.raises(ValueError, match="label out of range"):
+            nn.softmax_cross_entropy(np.zeros((2, 3)), np.array(labels))
+
+    @pytest.mark.parametrize("form", KERNEL_FORMS)
+    @pytest.mark.parametrize("labels", [np.array([3]), np.array([[3, 0, 1, 2]]), np.zeros((4, 1), int),
+                                        np.array([0, 1, 2]), np.array([0.0, 1.0, 2.0, 3.0]), np.array(2)])
+    def test_labels_not_one_per_row_rejected(self, form, labels):
+        # one label on 4 rows once broadcast to every row, and 2-D labels failed on a truth value
+        with kernel_form(form), pytest.raises(ValueError, match="one label per logit row"):
+            nn.softmax_cross_entropy(np.zeros((4, 5)), labels)
+
 
 def reference_adam(params, grad_steps, lr, beta1, beta2, epsilon, t0=0, textbook=False):
     """Adam over a list of arrays, one array at a time (the per-array formula).
@@ -530,14 +544,17 @@ class TestAdam:
             assert reason.startswith("no-such-cc: ")
         elif break_it == "source":
             assert reason == "its results differ from numpy's"
-        else:  # the compiler's own error line, which names the file, line and column
-            assert reason.startswith(f"{configured_cc()}: {nn._KERNELS_C}:9:") and ": error: " in reason
+        else:  # the compiler's own error line, which names the file, line and column of the broken list
+            line = next(k for k, text in enumerate(nn._KERNELS_C.read_text().splitlines(), 1) if "double b1" in text)
+            assert reason.startswith(f"{configured_cc()}: {nn._KERNELS_C}:{line}:") and ": error: " in reason
         if break_it == "source":
             assert batch_lines == []
         else:
-            # the batch errors loaded above, then the one-layer forward pass of normalization_error
+            # the batch errors loaded above, then normalization_error's one-layer forward pass: its row
+            # lookup and its dense layer
             assert batch_lines == [
                 f"note: no compiled batch-error kernel ({reason}); norm-error runs as numpy ufuncs",
+                f"note: no compiled gather kernel ({reason}); the gather runs as numpy calls",
                 f"note: no compiled dense forward kernel ({reason}); the forward pass runs as numpy ufuncs"]
         assert list(tmp_path.iterdir()) == []
 
@@ -660,6 +677,59 @@ class TestDenseKernels:
         assert got.loss_curve == want.loss_curve
         assert [a.tobytes() for a in (*got.tx.param_list(), *got.rx.param_list(), got.constellation)] == \
             [a.tobytes() for a in (*want.tx.param_list(), *want.rx.param_list(), want.constellation)]
+
+
+class TestStepKernels:
+    def test_kernels_load(self):
+        # the cross-entropy, gather and normalization loops must load wherever their compiler
+        # exists: a host that has one cannot pass the cross-form tests on the numpy form alone
+        if shutil.which(configured_cc()) is None:
+            pytest.skip(f"the configured C compiler {configured_cc()!r} is not on PATH")
+        assert nn.cross_entropy_kernel() is not None and comm.gather_kernel() is not None
+        assert comm.normalize_kernels() is not None
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.sampled_from([*range(1, 10), 15, 16, 17, 127, 128, 129, 256, 300]),
+           m=st.sampled_from([*range(1, 10), 16, 17, 127, 128, 129, 256, 300]),
+           special=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_cross_entropy_equal_across_forms(self, n, m, special, seed):
+        # row widths and counts around numpy's pairwise branches (8, 128 and the splits above);
+        # special: nan, +-inf and signed zeros among the logits, compared by nn.bits
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4, size=(n, m))
+        labels = rng.integers(0, m, size=n)
+        if special:
+            logits.flat[rng.integers(0, logits.size, size=4)] = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0], size=4)
+        got = []
+        for form in KERNEL_FORMS:
+            with kernel_form(form), np.errstate(all="ignore"):
+                loss, grad = nn.softmax_cross_entropy(logits, labels, ws={})
+            got.append((nn.bits(np.array([loss])), nn.bits(grad)))
+        assert got[0] == got[1]
+
+    @pytest.mark.parametrize("architecture", train.ARCHITECTURES)
+    @pytest.mark.parametrize("M, batch_size", [(2, 1), (2, 2), (256, 1), (256, 2), (2, 16), (256, 16), (2, 256),
+                                               (256, 256)])
+    def test_train_run_equal_across_forms(self, monkeypatch, architecture, M, batch_size):
+        # the same loss curve, constellation and Adam state bytes from every compiled loop and from none
+        made = []
+
+        class Recording(nn.Adam):
+            def __post_init__(self):
+                super().__post_init__()
+                made.append(self)
+
+        monkeypatch.setattr(nn, "Adam", Recording)
+        runs = []
+        config = train.TrainConfig(M=M, batch_size=batch_size, data_budget=batch_size * 6, tx_hidden=(12, 7),
+                                   rx_hidden=(9,), architecture=architecture, init_seed=3, data_seed=4)
+        for form in KERNEL_FORMS:
+            with kernel_form(form):
+                run = train.train_run(config)
+            runs.append((run.loss_curve, run.constellation.tobytes()))
+        assert runs[0] == runs[1]
+        kernel, numpy_form = ([a.tobytes() for a in (opt.p, opt.m, opt.v)] for opt in made)
+        assert kernel == numpy_form
 
 
 class TestGradientCheck:
